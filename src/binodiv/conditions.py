@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 OBSTRUCTION_CAP = 1 << 20
+# _condition2_many: members per digit loop, and the least members tried
+# before a whole obstruction set
+_BATCH = 1 << 14
+_PREFIX = 256
+# _dominated_mask compacts its arrays while more entries than this remain
+_COMPACT = 1024
 
 # Maximal subgroup indices of A_n for n <= 8.  A_1, A_2 have no proper
 # subgroups; A_3 is cyclic of order 3; A_4 has V_4 (index 3) and the points
@@ -89,25 +95,80 @@ def _dominated_count(n: int, p: int) -> int:
     return out
 
 
-def _dominated_values(n: int, p: int) -> np.ndarray:
-    """All dominated k in [0, n], ascending, endpoints included."""
-    ds = _base_digits(n, p)
+def _dominated_counts(ns: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """_dominated_count(ns[i], bases[i]) for every i."""
+    out = np.ones(ns.size, dtype=np.int64)
+    m = ns
+    while m.any():
+        m, d = divmod(m, bases)
+        out *= d + 1
+    return out
+
+
+def _dominated_values(n: int, p: int, least: int | None = None) -> np.ndarray:
+    """Dominated k in [0, n], ascending, endpoints included.
+
+    Built from the lowest digit up: digit c at position i adds c * p**i to
+    every value of the positions below, a block above all of them.  With
+    `least`, the expansion stops once it holds `least` values, which are
+    then the smallest ones.
+    """
     vals = np.zeros(1, dtype=np.int64)
-    for i in reversed(range(len(ds))):
-        step = np.arange(ds[i] + 1, dtype=np.int64) * (p**i)
-        vals = (vals[:, None] + step[None, :]).ravel()
-    return vals
+    step = 1
+    while n and (least is None or vals.size < least):
+        n, d = divmod(n, p)
+        if d == 1:
+            vals = np.concatenate((vals, vals + step))
+        elif d:
+            vals = (np.arange(d + 1, dtype=np.int64)[:, None] * step + vals).ravel()
+        step *= p
+    return vals[:least]
 
 
-def _dominated_mask(ks: np.ndarray, n: int, base: int) -> np.ndarray:
-    """Boolean mask over ks: base digits dominated by those of n (0 <= ks <= n)."""
-    k = ks.astype(np.int64, copy=True)
-    m = n
-    ok = np.ones(k.shape, dtype=bool)
-    while m and ok.any():
-        ok &= (k % base) <= (m % base)
-        k //= base
-        m //= base
+def _members(n: int, p: int, least: int | None = None) -> np.ndarray:
+    """The base-p obstruction members of n (dominated k in (0, n)),
+    ascending; with `least`, only the smallest `least`."""
+    if least is None:
+        return _dominated_values(n, p)[1:-1]
+    vals = _dominated_values(n, p, least + 2)[1:]
+    return vals[vals < n][:least]
+
+
+def _dominated_mask(ks: np.ndarray, n, base) -> np.ndarray:
+    """Boolean mask over the int64 array ks: base digits dominated by those
+    of n (0 <= ks <= n).
+
+    n and base are integers or arrays like ks.  While many entries are
+    undecided (more than _COMPACT, or 32 times that when n is one integer
+    and each step is cheaper), an entry leaves the digit loop at its first
+    digit above n's, or once its remaining digits are all zero; the rest
+    finish in a plain digit loop.
+    """
+    scalar = not isinstance(n, np.ndarray)
+    k, m, b = ks, n, base
+    ok = np.ones(k.size, dtype=bool)
+    fine, live = ok, None
+    if k.size > (_COMPACT << 5 if scalar else _COMPACT):
+        live = np.arange(k.size)
+        while live.size > _COMPACT:
+            k, dk = divmod(k, b)
+            m, dm = divmod(m, b)
+            carry = dk > dm
+            ok[live[carry]] = False
+            keep = ~carry & (k > 0)
+            live = live[keep]
+            k = k[keep]
+            if not scalar:
+                m = m[keep]
+            if isinstance(b, np.ndarray):
+                b = b[keep]
+        fine = ok[live]
+    while (m if scalar else k.any()) and fine.any():
+        k, dk = divmod(k, b)
+        m, dm = divmod(m, b)
+        fine &= dk <= dm
+    if live is not None:
+        ok[live] = fine
     return ok
 
 
@@ -119,8 +180,7 @@ def obstructions(n: int, p: int, cap: int = OBSTRUCTION_CAP) -> ObstructionSet:
         count = 0  # n = 0 never reaches here; guard for n = 1 semantics
     if count > cap:
         return ObstructionSet(n, p, count, None)
-    vals = _dominated_values(n, p)
-    return ObstructionSet(n, p, count, vals[1:-1] if len(vals) > 1 else vals[:0])
+    return ObstructionSet(n, p, count, _members(n, p))
 
 
 def condition1_holds(n: int, p: int, r: int) -> bool:
@@ -143,7 +203,7 @@ def _condition1(n: int, p: int, r: int) -> bool:
     if min(cp, cr) > OBSTRUCTION_CAP:
         return not _exists_doubly_carry_free(n, p, r)
     a, b = (p, r) if cp <= cr else (r, p)
-    members = _dominated_values(n, a)[1:-1]
+    members = _members(n, a)
     return not _dominated_mask(members, n, b).any()
 
 
@@ -156,6 +216,62 @@ def _exists_doubly_carry_free(n: int, p: int, r: int) -> bool:
         if mp.any() and _dominated_mask(ks[mp], n, r).any():
             return True
     return False
+
+
+def _condition2_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """condition2_direct over the triples (ns[i], ps[i], rs[i]); no n may be
+    a prime power.
+
+    Condition (1) tests, like _condition1, the smaller of the base-p and
+    base-r obstruction sets in the other base, in digit loops over the
+    concatenated sets of many triples: first their _PREFIX least members,
+    which refute most failing triples, then the whole sets of the rest.  A
+    set above _BATCH members is decided alone by _condition1.  The triples
+    that pass get the imprimitive and primitive family tests.
+    """
+    holds = np.ones(ns.size, dtype=bool)
+    cp = _dominated_counts(ns, ps)
+    cr = _dominated_counts(ns, rs)
+    a = np.where(cp <= cr, ps, rs)
+    b = np.where(cp <= cr, rs, ps)
+    size = np.minimum(cp, cr) - 2
+    _refute_condition1(ns, a, b, np.arange(ns.size), holds, _PREFIX)
+    for i in np.flatnonzero(holds & (size > _BATCH)).tolist():
+        holds[i] = _condition1(int(ns[i]), int(ps[i]), int(rs[i]))
+    _refute_condition1(ns, a, b, np.flatnonzero(holds & (size > _PREFIX) & (size <= _BATCH)), holds)
+    for i in np.flatnonzero(holds).tolist():
+        n, p, r = int(ns[i]), int(ps[i]), int(rs[i])
+        holds[i] = _imprimitive_covered(n, p, r) and (p <= n - 3 or r <= n - 3)
+    return holds
+
+
+def _refute_condition1(ns, a, b, todo: np.ndarray, holds: np.ndarray, least: int | None = None) -> None:
+    """Clear holds[i] for each i in todo where some base-a[i] obstruction
+    member of ns[i] (of the `least` smallest, if given) is carry-free in
+    base b[i] too; digit loops over at most _BATCH members."""
+    group: list[int] = []
+    sets: list[np.ndarray] = []
+    total = 0
+    for i in todo.tolist():
+        mem = _members(int(ns[i]), int(a[i]), least)
+        if total + mem.size > _BATCH:
+            _clear_refuted(ns, b, group, sets, holds)
+            group, sets, total = [], [], 0
+        group.append(i)
+        sets.append(mem)
+        total += mem.size
+    _clear_refuted(ns, b, group, sets, holds)
+
+
+def _clear_refuted(ns, b, group: list[int], sets: list[np.ndarray], holds: np.ndarray) -> None:
+    """One digit loop over the concatenated sets: clear holds[i] for each i
+    in group whose set has a member carry-free in base b[i]."""
+    if group:
+        sizes = [s.size for s in sets]
+        free = _dominated_mask(
+            np.concatenate(sets), np.repeat(ns[group], sizes), np.repeat(b[group], sizes)
+        )
+        holds[np.repeat(group, sizes)[free]] = False
 
 
 def primitive_index_divisible(n: int, p: int) -> bool:

@@ -90,12 +90,15 @@ def equipartition_has_carry(n: int, d: int, p: int) -> bool:
     """Whether adding n/d copies of d in base p produces any carry.
 
     Carry-freeness of a multi-operand sum is equivalent to digit sums being
-    additive, so this is just digit_sum(d, p) * (n/d) != digit_sum(n, p).
+    additive, so this is just digit_sum(d, p) * m != digit_sum(n, p) with
+    m = n/d.  Digit sums are submultiplicative and digit_sum(m, p) < m once
+    m >= p, so m >= p copies always carry and need no digit sums.
     """
     _check_block(n, d)
     if p < 2:
         raise ValueError("base must be at least 2")
-    return digit_sum(d, p) * (n // d) != digit_sum(n, p)
+    m = n // d
+    return m >= p or digit_sum(d, p) * m != digit_sum(n, p)
 
 
 def prime_divides_equipartition(n: int, d: int, p: int) -> bool:

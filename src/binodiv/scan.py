@@ -13,8 +13,8 @@ prime pair (p, r) dividing all proper subgroup indices of A_n:
 
 Mode "any" admits every prime pair; mode "with-two" only pairs containing
 2, where failures are a real (and counted) outcome.  Bulk staging is
-vectorized over chunks of 2**16 integers; the few n per chunk that resist
-the cheap stages fall through to a scalar candidate search.
+vectorized over chunks of 2**16 integers; the n of a chunk that resist
+the cheap stages go to one batched partner search.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .arith import (
     PrimePower,
     _iroot,
-    digit_sum,
+    digit_sum,  # noqa: F401  (unused here; perfbench/workloads.py counts calls through this name)
     factorize,
     is_prime,
     is_prime_power,
@@ -42,13 +42,20 @@ from .arith import (
     largest_prime_power_divisor,
     primes_upto,
 )
-from .conditions import condition2_direct
+from .conditions import (
+    _BATCH,
+    _condition2_many,
+    _dominated_mask,
+    _members,
+    condition2_direct,
+)
 
 __all__ = [
     "CHUNK",
     "CSV_HEADER",
     "GapReport",
     "Histogram",
+    "MAX_N",
     "MODES",
     "STAGES",
     "ScanRecord",
@@ -69,18 +76,22 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+# the largest n any scan or search accepts; see _round_cap
+MAX_N = 10**8
 MODES = ("any", "with-two")
 STAGES = ("prime_power", "sieve", "direct", "other_divisor", "fail")
 _PRIME_POWER, _SIEVE, _DIRECT, _OTHER, _FAIL = range(5)
 
-# Direct-search tuning.  Candidate partners below _SMALL_BOUND are filtered
-# by a digit-sum carry test; larger ones come from factoring the numerator
-# terms of C(n, k0) when k0 <= _TERM_CAP, else from a vectorized remainder
-# sweep.  _FILTER_MEMBERS leading obstruction members prune candidates
-# before the full condition test runs.
+# Partner-search tuning.  Every prime below _SMALL_BOUND is a candidate;
+# larger ones come from factoring the numerator terms of C(n, k0) when
+# k0 <= _TERM_CAP, else from a vectorized remainder sweep.  _FILTER_MEMBERS
+# leading obstruction members prune candidates before the exact test runs,
+# and no digit loop takes more than _BATCH members.  _GROUP pairs (n, p)
+# are searched together.
 _SMALL_BOUND = 1000
 _TERM_CAP = 16
 _FILTER_MEMBERS = 10
+_GROUP = 1024
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,7 @@ class ScanSummary:
         body = {
             "lo": self.lo,
             "hi": self.hi,
+            "mode": self.mode,
             "counts": dict(self.counts),
             "exceptions": [
                 {
@@ -180,6 +192,13 @@ class _ScanContext:
 
 
 def _round_cap(hi: int) -> int:
+    """The table cap for n up to hi: the least power of ten >= max(hi, 10**6).
+
+    Refuses hi above MAX_N, the largest cap whose tables have been measured,
+    before any table is built.
+    """
+    if hi > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N} (prime tables are built up to there), got {hi}")
     cap = 1_000_000
     while cap < hi:
         cap *= 10
@@ -224,34 +243,6 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
     return None
 
 
-def _leading_members(n: int, p: int, want: int) -> list[int]:
-    """The smallest `want` members of the base-p obstruction set of n.
-
-    Members are sums of c_i * p**i with digits c_i dominated by those of n;
-    every member using only the lowest digit positions is smaller than any
-    member touching a higher one, so a truncated expansion stays exact.
-    """
-    ds = []
-    m = n
-    while m:
-        m, d = divmod(m, p)
-        ds.append(d)
-    vals = [0]
-    for i, d in enumerate(ds):
-        if d == 0:
-            continue
-        step = p**i
-        vals = [v + c * step for v in vals for c in range(d + 1)]
-        if len(vals) > want + 1 and i < len(ds) - 1:
-            break
-    vals.sort()
-    return [v for v in vals if 0 < v < n][:want]
-
-
-def _has_carry(n: int, k: int, base: int) -> bool:
-    return digit_sum(k, base) + digit_sum(n - k, base) != digit_sum(n, base)
-
-
 @lru_cache(maxsize=1)
 def _small_prime_list() -> tuple[int, ...]:
     return tuple(int(q) for q in primes_upto(_SMALL_BOUND))
@@ -281,43 +272,109 @@ def _big_candidates(n: int, k0: int) -> list[int]:
     return sorted(out)
 
 
+def _filter_members(n: int, p: int) -> np.ndarray:
+    """The _FILTER_MEMBERS least base-p obstruction members of n, ascending
+    from k0 = p**v_p(n); padded with the largest when there are fewer."""
+    mem = _members(n, p, _FILTER_MEMBERS)
+    return mem[np.minimum(np.arange(_FILTER_MEMBERS), mem.size - 1)]
+
+
+def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """For each i the least prime r < ns[i] with condition2_direct(ns[i],
+    ps[i], r), or 0 where there is none; no n may be a prime power.
+
+    Any viable r must divide C(n, k) for every base-p obstruction member k
+    (Kummer: the sum k + (n - k) carries in base r).  The candidates are
+    every prime below _SMALL_BOUND, then, for the pairs still unresolved,
+    the larger ones from _big_candidates.  Candidates with a leading member
+    carry-free in their base are dropped, all at once, and _search_rounds
+    decides the rest.  Pairs go _GROUP at a time.
+    """
+    found = np.zeros(ns.size, dtype=np.int64)
+    small = np.array(_small_prime_list(), dtype=np.int64)
+    step = _BATCH // small.size
+    for a in range(0, ns.size, _GROUP):
+        g = slice(a, a + _GROUP)
+        n, p = ns[g], ps[g]
+        lead = np.stack([_filter_members(int(x), int(y)) for x, y in zip(n, p)])
+        kept = []
+        for b in range(0, n.size, step):
+            owner, col = np.nonzero(small[None, :] < n[b : b + step, None])
+            kept.append(_filtered(lead, n, owner + b, small[col]))
+        owner = np.concatenate([o for o, _ in kept])
+        qs = np.concatenate([q for _, q in kept])
+        _search_rounds(n, p, owner, qs, found[g])
+        todo = np.flatnonzero(found[g] == 0)
+        cands = [_big_candidates(int(n[i]), int(lead[i, 0])) for i in todo]
+        owner = np.repeat(todo, [len(c) for c in cands])
+        qs = np.array([q for c in cands for q in c], dtype=np.int64)
+        _search_rounds(n, p, *_filtered(lead, n, owner, qs), found[g])
+    return found
+
+
+def _filtered(lead: np.ndarray, ns: np.ndarray, owner: np.ndarray, qs: np.ndarray):
+    """The candidate pairs (owner[j], qs[j]) where no leading member of
+    n = ns[owner[j]] is carry-free in base q = qs[j], i.e. where q divides
+    C(n, k) for each.
+
+    Where every member is below q, a member k is carry-free exactly when
+    k <= n mod q (Kummer), so the test is n mod q < k0 for the least member
+    k0; the other pairs run the digit loop, at most _BATCH members a call.
+    """
+    keep = ns[owner] % qs < lead[owner, 0]
+    long = np.flatnonzero(lead[owner, -1] >= qs)
+    step = _BATCH // _FILTER_MEMBERS
+    for a in range(0, long.size, step):
+        j = long[a : a + step]
+        free = _dominated_mask(
+            lead[owner[j]].ravel(),
+            np.repeat(ns[owner[j]], _FILTER_MEMBERS),
+            np.repeat(qs[j], _FILTER_MEMBERS),
+        )
+        keep[j] = ~free.reshape(-1, _FILTER_MEMBERS).any(axis=1)
+    return owner[keep], qs[keep]
+
+
+def _search_rounds(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
+    """Set found[i] to the least verified candidate qs[j] with owner[j] = i,
+    for every i with found[i] == 0 and such a candidate.
+
+    owner is ascending, and qs ascending within each owner.  Round t
+    decides the t-th candidate of every pair still unresolved in one
+    _condition2_many call, so each pair stops at its least verified one.
+    """
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    t = 0
+    while True:
+        at = np.flatnonzero((rank == t) & (found[owner] == 0))
+        if not at.size:
+            return
+        i = owner[at]
+        hit = _condition2_many(ns[i], ps[i], qs[at])
+        found[i[hit]] = qs[at][hit]
+        t += 1
+
+
 def direct_search(n: int, p: int) -> int | None:
     """Smallest prime r < n such that condition2_direct(n, p, r) holds.
 
-    Any viable r must divide C(n, k) for every base-p obstruction member k,
-    in particular for the least member k0 = p**v_p(n); candidates are
-    pruned through that necessity (and a few further members) before the
-    full test runs, which cannot skip a witness.
+    The one-pair call of the batched partner search.  For a prime power
+    n = q**e the pair is accepted outright when q = p (returning 2), and
+    otherwise k = 1 forces r | n, so q is the only possible partner.
     """
     _check_scan_n(n)
+    _round_cap(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     pp = is_prime_power(n)
     if pp is not None:
         if pp.prime == p:
             return 2
-        # p does not divide n, so k = 1 forces r | n: the base is the only
-        # possible partner
         if pp.prime < n and condition2_direct(n, p, pp.prime):
             return pp.prime
         return None
-    k0 = 1
-    m = n
-    while m % p == 0:
-        k0 *= p
-        m //= p
-    members = _leading_members(n, p, _FILTER_MEMBERS)
-    for r in _small_prime_list():
-        if r >= n:
-            break
-        if not _has_carry(n, k0, r):
-            continue
-        if all(_has_carry(n, k, r) for k in members) and condition2_direct(n, p, r):
-            return r
-    for r in _big_candidates(n, k0):
-        if all(_has_carry(n, k, r) for k in members) and condition2_direct(n, p, r):
-            return r
-    return None
+    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64))[0])
+    return r or None
 
 
 def condition5_sieve_pair(n: int) -> tuple[int, int] | None:
@@ -341,6 +398,7 @@ def prime_gap_stats(hi: int) -> GapReport:
     """Largest gap and gap multiplicities over consecutive primes <= hi."""
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
+    _round_cap(hi)
     ps = primes_upto(hi)
     gaps = np.diff(ps)
     vals, cnts = np.unique(gaps, return_counts=True)
@@ -408,22 +466,31 @@ def _pow2_below(ns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _classify_residual(n: int, lead_p: int, mode: str) -> tuple[int, tuple[int, int] | None]:
-    if mode == "with-two":
-        r = direct_search(n, 2)
-        if r is not None:
-            return _DIRECT, (2, r)
-        return _FAIL, None
-    r = direct_search(n, lead_p)
-    if r is not None:
-        return _DIRECT, (lead_p, r)
-    for q in factorize(n).primes():
-        if q == lead_p:
-            continue
-        r = direct_search(n, q)
-        if r is not None:
-            return _OTHER, (q, r)
-    return _FAIL, None
+def _classify_residual(ns: np.ndarray, lead_p: np.ndarray, mode: str):
+    """Stage codes and witness primes for residual n (none a prime power).
+
+    With-two pins p = 2.  Any mode first searches a partner for the base of
+    the largest prime-power divisor, then for each other prime divisor in
+    ascending order, every round batched over the n still unresolved.
+    """
+    ps = np.full(ns.size, 2, dtype=np.int64) if mode == "with-two" else lead_p
+    wr = _partner_search(ns, ps)
+    wp = np.where(wr > 0, ps, 0)
+    stage = np.where(wr > 0, _DIRECT, _FAIL).astype(np.uint8)
+    if mode == "any":
+        # then the other prime divisors, ascending, one round each
+        todo = {
+            int(i): [q for q in factorize(int(ns[i])).primes() if q != lead_p[i]]
+            for i in np.flatnonzero(wr == 0)
+        }
+        while todo:
+            i = np.fromiter(todo, dtype=np.int64)
+            q = np.array([qs.pop(0) for qs in todo.values()], dtype=np.int64)
+            r = _partner_search(ns[i], q)
+            hit = r > 0
+            stage[i[hit]], wp[i[hit]], wr[i[hit]] = _OTHER, q[hit], r[hit]
+            todo = {j: qs for j, qs in todo.items() if qs and wr[j] == 0}
+    return stage, wp, wr
 
 
 def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
@@ -480,14 +547,13 @@ def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkRe
         residual = ~(pp_mask | mask_a | mask_b)
 
     exceptions: list[ScanRecord] = []
-    for i in np.flatnonzero(residual):
-        n_i = int(ns[i])
-        code, witness = _classify_residual(n_i, int(lppd_p[i]), mode)
-        stage[i] = code
-        if witness is not None:
-            wp[i], wr[i] = witness
-        if code in (_OTHER, _FAIL):
-            exceptions.append(ScanRecord(n_i, STAGES[code], witness, None))
+    res = np.flatnonzero(residual)
+    if res.size:
+        stage[res], wp[res], wr[res] = _classify_residual(ns[res], lppd_p[res], mode)
+        for i in res[stage[res] >= _OTHER]:
+            code = int(stage[i])
+            witness = (int(wp[i]), int(wr[i])) if code == _OTHER else None
+            exceptions.append(ScanRecord(int(ns[i]), STAGES[code], witness, None))
 
     counts = np.bincount(stage, minlength=len(STAGES)).astype(np.int64)
     if not keep:
@@ -710,35 +776,48 @@ def _read_checkpoint(path: str) -> int | None:
         return None
 
 
-def _truncate_after(path: str, last_n: int) -> bool:
-    """Drop CSV rows with n > last_n plus any partial tail line.
+def _resume_rows(path: str, lo: int, last_n: int) -> tuple[int, dict[str, int], list[ScanRecord]] | None:
+    """Drop CSV rows with n > last_n and everything from the first partial
+    or malformed line on.
 
-    Returns False when the file does not start with the expected header,
-    in which case the caller should rewrite from scratch.
+    Returns the n of the last row kept (lo - 1 when none is), and the stage
+    counts and the exceptional records of the rows kept with n >= lo; or
+    None when the file does not start with the expected header, in which
+    case the caller should write a fresh file.
     """
     header = CSV_HEADER.encode("ascii")
     try:
         fh = open(path, "rb")
     except OSError:
-        return False
+        return None
+    last = lo - 1
+    counts = dict.fromkeys(STAGES, 0)
+    exceptions: list[ScanRecord] = []
     with fh:
         head = fh.readline()
         if head.rstrip(b"\n") != header or not head.endswith(b"\n"):
-            return False
+            return None
         offset = len(head)
         for line in fh:
             if not line.endswith(b"\n"):
                 break
             try:
-                n = int(line.split(b",", 1)[0])
+                n_txt, stage_txt, _ = line.split(b",", 2)
+                n = int(n_txt)
+                stage = stage_txt.decode("ascii")
+                if n > last_n or stage not in counts:
+                    break
+                if n >= lo:
+                    counts[stage] += 1
+                    if stage in ("other_divisor", "fail"):
+                        exceptions.append(parse_record(line.decode("ascii")))
             except ValueError:
                 break
-            if n > last_n:
-                break
             offset += len(line)
+            last = n
     with open(path, "r+b") as fh:
         fh.truncate(offset)
-    return True
+    return last, counts, exceptions
 
 
 def scan_to_csv(
@@ -755,29 +834,36 @@ def scan_to_csv(
 ) -> ScanSummary:
     """Stream scan records to CSV with periodic atomic checkpoints.
 
-    When the checkpoint file names a previous stopping point and the CSV is
-    intact up to it, the scan resumes at the next n and appends; an
-    interrupted run followed by a resumed one therefore produces output
-    byte-identical to a single uninterrupted run.  The returned summary
-    covers only the freshly scanned part.  On interrupt the checkpoint is
-    brought up to the last record written before the exception propagates.
+    When the checkpoint file names a previous stopping point and the CSV
+    starts with the header, the scan resumes after the last intact row up
+    to that point and appends; an interrupted run followed by a resumed one
+    therefore produces output byte-identical to a single uninterrupted
+    run.  The returned summary
+    covers all of [lo, hi], the rows kept from earlier runs included; its
+    elapsed_seconds is this call's scanning time.  On interrupt the
+    checkpoint is brought up to the last record written before the
+    exception propagates.
     """
     _check_range(lo, hi)
     _check_mode(mode)
+    _round_cap(hi)
     if checkpoint_every < 1:
         raise ValueError(f"need checkpoint_every >= 1, got {checkpoint_every}")
     start = lo
     open_mode = "w"
-    if checkpoint_path is not None:
-        done = _read_checkpoint(checkpoint_path)
-        if done is not None and done >= lo and _truncate_after(out_path, done):
-            start = done + 1
-            open_mode = "a"
-    t0 = time.monotonic()
     counts = dict.fromkeys(STAGES, 0)
     exceptions: list[ScanRecord] = []
+    if checkpoint_path is not None:
+        done = _read_checkpoint(checkpoint_path)
+        kept = _resume_rows(out_path, lo, done) if done is not None and done >= lo else None
+        if kept is not None:
+            # a damaged row at or below the checkpoint is scanned again
+            last, counts, exceptions = kept
+            start = last + 1
+            open_mode = "a"
+    t0 = time.monotonic()
     if start > hi:
-        return ScanSummary(start, hi, mode, counts, exceptions, 0.0)
+        return ScanSummary(lo, hi, mode, counts, exceptions, 0.0)
     records = _records
     if records is None:
         records = iter_scan(start, hi, mode, workers=workers)
@@ -808,4 +894,4 @@ def scan_to_csv(
         fh.flush()
     if checkpoint_path is not None and last >= start:
         _write_checkpoint(checkpoint_path, last)
-    return ScanSummary(start, hi, mode, counts, exceptions, time.monotonic() - t0)
+    return ScanSummary(lo, hi, mode, counts, exceptions, time.monotonic() - t0)

@@ -11,6 +11,7 @@ import pytest
 import binodiv
 from binodiv.cli import main
 from binodiv.density import dickman_rho
+from binodiv.scan import MAX_N, iter_scan, scan_to_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -96,6 +97,44 @@ def test_scan_out_writes_csv_and_summary(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "rows.csv.summary.json").read_text())
     assert sidecar == body
     assert str(out) in captured.err
+
+
+def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys):
+    lo, hi = 9, 8000
+    clean = tmp_path / "clean.csv"
+    assert main(["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(clean)]) == 0
+    want = json.loads((tmp_path / "clean.csv.summary.json").read_text())
+    capsys.readouterr()
+
+    out = tmp_path / "rows.csv"
+    ckpt = tmp_path / "rows.ckpt"
+
+    def interrupted():
+        for i, rec in enumerate(iter_scan(lo, hi, "with-two")):
+            if i == 4321:
+                raise KeyboardInterrupt
+            yield rec
+
+    with pytest.raises(KeyboardInterrupt):
+        scan_to_csv(
+            lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt),
+            checkpoint_every=512, _records=interrupted(),
+        )
+    assert lo < int(ckpt.read_text()) < hi
+    argv = ["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(out), "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    stdout = json.loads(capsys.readouterr().out)
+    got = json.loads((tmp_path / "rows.csv.summary.json").read_text())
+    assert got == stdout
+    del got["elapsed_seconds"], want["elapsed_seconds"]
+    assert got == want
+    assert got["mode"] == "with-two" and got["counts"]["fail"] > 0
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def test_scan_refuses_range_above_limit(capsys):
+    assert main(["scan", "9", str(MAX_N + 1)]) == 2
+    assert str(MAX_N) in capsys.readouterr().err
 
 
 def test_scan_checkpoint_requires_out(capsys):

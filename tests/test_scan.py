@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from binodiv import arith, scan
 from binodiv.arith import PrimePower, is_prime, is_prime_power, primes_upto
 from binodiv.conditions import condition1_holds, condition2_direct
 from binodiv.scan import (
     CHUNK,
     CSV_HEADER,
+    MAX_N,
     GapReport,
     Histogram,
     ScanRecord,
@@ -245,8 +247,10 @@ def test_summary_json_shape():
     import json
 
     body = json.loads(summary.to_json())
-    assert set(body) == {"lo", "hi", "counts", "exceptions", "elapsed_seconds"}
+    assert set(body) == {"lo", "hi", "mode", "counts", "exceptions", "elapsed_seconds"}
     assert body["lo"] == 9 and body["hi"] == 120
+    assert body["mode"] == "with-two"
+    assert json.loads(scan_range(9, 20).to_json())["mode"] == "any"
     assert set(body["counts"]) == {"prime_power", "sieve", "direct", "other_divisor", "fail"}
     for exc in body["exceptions"]:
         assert exc["stage"] == "fail" and exc["p"] is None and exc["r"] is None
@@ -336,7 +340,7 @@ def _digest(path):
 def test_interrupted_resume_is_byte_identical(tmp_path):
     lo, hi = 9, 15000
     clean = tmp_path / "clean.csv"
-    scan_to_csv(lo, hi, str(clean), checkpoint_path=str(tmp_path / "clean.ckpt"))
+    whole = scan_to_csv(lo, hi, str(clean), checkpoint_path=str(tmp_path / "clean.ckpt"))
 
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
@@ -352,7 +356,10 @@ def test_interrupted_resume_is_byte_identical(tmp_path):
     stopped_at = int(ckpt.read_text().strip())
     assert stopped_at == lo + 7321 - 1  # checkpoint covers every written row
     resumed = scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
-    assert resumed.lo == stopped_at + 1
+    # the summary covers the whole range, the rows of the first run included
+    assert (resumed.lo, resumed.hi) == (lo, hi)
+    assert resumed.counts == whole.counts
+    assert resumed.exceptions == whole.exceptions
     assert _digest(out) == _digest(clean)
     assert int(ckpt.read_text().strip()) == hi
 
@@ -376,13 +383,32 @@ def test_resume_with_torn_tail_line(tmp_path):
     assert _digest(out) == _digest(clean)
 
 
-def test_resume_after_completion_is_a_no_op(tmp_path):
+def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path):
+    clean = tmp_path / "clean.csv"
+    scan_to_csv(9, 600, str(clean))
     out = tmp_path / "scan.csv"
     ckpt = tmp_path / "scan.ckpt"
     scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
+    lines = out.read_text(encoding="ascii").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("300,"))
+    lines[at] = "300,bogus,,,,\n"
+    out.write_text("".join(lines), encoding="ascii")
+    summary = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
+    assert _digest(out) == _digest(clean)
+    assert sum(summary.counts.values()) == 600 - 9 + 1
+
+
+def test_resume_after_completion_is_a_no_op(tmp_path):
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "scan.ckpt"
+    first = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt), mode="with-two")
     before = _digest(out)
-    again = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
-    assert again.satisfied() + again.counts["fail"] == 0
+    again = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt), mode="with-two")
+    # nothing is scanned, and the summary still covers the whole range
+    assert (again.lo, again.hi, again.mode) == (9, 600, "with-two")
+    assert again.counts == first.counts
+    assert again.exceptions == first.exceptions
+    assert again.counts["fail"] > 0
     assert again.elapsed_seconds == 0.0
     assert _digest(out) == before
 
@@ -405,3 +431,29 @@ def test_scan_to_csv_validation(tmp_path):
         scan_to_csv(5, 20, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         scan_to_csv(9, 20, str(tmp_path / "x.csv"), mode="other")
+
+
+def test_out_of_envelope_ranges_are_refused_before_any_table(tmp_path, monkeypatch):
+    def no_tables(limit):
+        raise AssertionError(f"primes_upto({limit}) called")
+
+    monkeypatch.setattr(scan, "primes_upto", no_tables)
+    monkeypatch.setattr(arith, "primes_upto", no_tables)
+    too_big = MAX_N + 1
+    calls = [
+        lambda: scan_one(too_big),
+        lambda: scan_one(10**9 + 1, "with-two"),
+        lambda: scan_range(MAX_N - 5, too_big),
+        lambda: scan_with_two(9, too_big),
+        lambda: list(iter_scan(too_big, too_big + 3)),
+        lambda: direct_search(too_big + 1, 2),
+        lambda: prime_gap_stats(too_big),
+        lambda: failure_histogram(too_big, 1000),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=str(MAX_N)):
+            call()
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match=str(MAX_N)):
+        scan_to_csv(MAX_N - 5, too_big, str(out), checkpoint_path=str(tmp_path / "rows.ckpt"))
+    assert not out.exists()
