@@ -9,7 +9,6 @@ groups.
 """
 
 from .arith import (
-    DigitExpansion,
     Factorization,
     PrimePower,
     digit_sum,
@@ -22,10 +21,7 @@ from .arith import (
     primes_upto,
 )
 from .kummer import (
-    EquipartitionIndex,
-    binomial_exact,
     carries_add,
-    equipartition_count,
     equipartition_has_carry,
     prime_divides_equipartition,
     valuation_binomial,
@@ -53,8 +49,6 @@ from .permgroup import (
 )
 from .density import (
     PsiCount,
-    RhoTable,
-    build_rho_table,
     density_bound_report,
     dickman_rho,
     psi_count,
@@ -64,7 +58,6 @@ from .scan import (
     Histogram,
     ScanRecord,
     ScanSummary,
-    condition5_sieve_pair,
     direct_search,
     failure_histogram,
     iter_scan,

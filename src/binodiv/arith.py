@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DigitExpansion",
     "Factorization",
     "PrimePower",
     "digit_sum",
@@ -71,20 +70,6 @@ class Factorization:
             divs = [d * p**k for d in divs for k in range(e + 1)]
         divs.sort()
         return divs
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Little-endian digit expansion, no trailing zero digits."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def value(self) -> int:
-        out = 0
-        for d in reversed(self.digits):
-            out = out * self.base + d
-        return out
 
 
 def is_prime(n: int) -> bool:
@@ -201,8 +186,8 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-def digits(n: int, base: int) -> DigitExpansion:
-    """Little-endian base expansion of n >= 0 (empty for n = 0)."""
+def digits(n: int, base: int) -> tuple[int, ...]:
+    """Little-endian base digits of n >= 0, the last nonzero (empty for n = 0)."""
     if n < 0:
         raise ValueError("digits expects a nonnegative integer")
     if base < 2:
@@ -211,11 +196,12 @@ def digits(n: int, base: int) -> DigitExpansion:
     while n:
         n, d = divmod(n, base)
         out.append(d)
-    return DigitExpansion(base, tuple(out))
+    return tuple(out)
 
 
 def digit_sum(n: int, base: int) -> int:
     """Sum of base-b digits of n >= 0."""
+    # own loop: sum(digits(...)) builds a tuple, and the imprimitive test ran 15% slower
     if n < 0:
         raise ValueError("digit_sum expects a nonnegative integer")
     if base < 2:

@@ -15,7 +15,7 @@ import sys
 from typing import Callable
 
 from .arith import is_prime
-from .conditions import condition1_holds, condition2_holds, witness_for
+from .conditions import _witness, condition1_holds
 from .density import density_bound_report, dickman_rho, psi_count
 from .permgroup import (
     CycleType,
@@ -27,6 +27,8 @@ from .permgroup import (
     parse_cycles,
 )
 from .scan import (
+    CSV_HEADER,
+    STAGES,
     failure_histogram,
     format_record,
     iter_scan,
@@ -58,8 +60,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not is_prime(q):
             print(f"error: {q} is not prime", file=sys.stderr)
             return 2
-    c1 = condition1_holds(n, p, r)
-    w = witness_for(n, p, r)
+    w, c1 = _witness(n, p, r)
+    if c1 is None:
+        c1 = condition1_holds(n, p, r)
     verdict = {
         "n": n,
         "p": p,
@@ -96,21 +99,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"summary written to {summary_path}", file=sys.stderr)
         if args.format == "json":
             print(summary.to_json())
+        counts = summary.counts
     elif args.format == "csv":
-        from .scan import CSV_HEADER, STAGES
-
         counts = dict.fromkeys(STAGES, 0)
         print(CSV_HEADER)
         for rec in iter_scan(args.lo, args.hi, mode, workers=args.workers):
             print(format_record(rec))
             counts[rec.stage] += 1
-        return 0 if mode == "with-two" or counts["fail"] == 0 else 1
     else:
         run = scan_with_two if mode == "with-two" else scan_range
         summary = run(args.lo, args.hi, workers=args.workers, progress=progress)
         print(summary.to_json())
-        return 0 if mode == "with-two" or summary.counts["fail"] == 0 else 1
-    return 0 if mode == "with-two" or summary.counts["fail"] == 0 else 1
+        counts = summary.counts
+    return 0 if mode == "with-two" or counts["fail"] == 0 else 1
 
 
 def _cmd_hist(args: argparse.Namespace) -> int:

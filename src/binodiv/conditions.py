@@ -10,11 +10,12 @@ index lists are hardcoded from the classified maximal subgroups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_prime_power
+from .arith import digits, factorize, is_prime, is_prime_power
 from .kummer import prime_divides_equipartition
 
 __all__ = [
@@ -79,20 +80,9 @@ class ConditionWitness:
     stage: str  # "small_table" | "prime_power_case" | "sieve_pair" | "direct_search"
 
 
-def _base_digits(n: int, p: int) -> list[int]:
-    ds = []
-    while n:
-        ds.append(n % p)
-        n //= p
-    return ds
-
-
 def _dominated_count(n: int, p: int) -> int:
     """Number of k in [0, n] whose base-p digits are dominated by n's."""
-    out = 1
-    for d in _base_digits(n, p):
-        out *= d + 1
-    return out
+    return math.prod(d + 1 for d in digits(n, p))
 
 
 def _dominated_counts(ns: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -115,8 +105,9 @@ def _dominated_values(n: int, p: int, least: int | None = None) -> np.ndarray:
     """
     vals = np.zeros(1, dtype=np.int64)
     step = 1
-    while n and (least is None or vals.size < least):
-        n, d = divmod(n, p)
+    for d in digits(n, p):
+        if least is not None and vals.size >= least:
+            break
         if d == 1:
             vals = np.concatenate((vals, vals + step))
         elif d:
@@ -240,8 +231,7 @@ def _condition2_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
         holds[i] = _condition1(int(ns[i]), int(ps[i]), int(rs[i]))
     _refute_condition1(ns, a, b, np.flatnonzero(holds & (size > _PREFIX) & (size <= _BATCH)), holds)
     for i in np.flatnonzero(holds).tolist():
-        n, p, r = int(ns[i]), int(ps[i]), int(rs[i])
-        holds[i] = _imprimitive_covered(n, p, r) and (p <= n - 3 or r <= n - 3)
+        holds[i] = _transitive_covered(int(ns[i]), int(ps[i]), int(rs[i]))
     return holds
 
 
@@ -302,11 +292,12 @@ def condition2_direct(n: int, p: int, r: int) -> bool:
     pp = is_prime_power(n)
     if pp is not None and pp.prime in (p, r):
         return True
-    if not _condition1(n, p, r):
-        return False
-    if not _imprimitive_covered(n, p, r):
-        return False
-    return p <= n - 3 or r <= n - 3
+    return _condition1(n, p, r) and _transitive_covered(n, p, r)
+
+
+def _transitive_covered(n: int, p: int, r: int) -> bool:
+    """The imprimitive and primitive families of condition2_direct."""
+    return _imprimitive_covered(n, p, r) and (p <= n - 3 or r <= n - 3)
 
 
 def _imprimitive_covered(n: int, p: int, r: int) -> bool:
@@ -330,53 +321,45 @@ def condition2_holds(n: int, p: int, r: int) -> bool:
     Everything else reduces to Condition (1), to which Condition (2) is
     equivalent for non-prime-powers.
     """
+    return witness_for(n, p, r).holds
+
+
+def witness_for(n: int, p: int, r: int) -> ConditionWitness:
+    """Condition (2) verdict plus the route that decided it."""
+    return _witness(n, p, r)[0]
+
+
+def _witness(n: int, p: int, r: int) -> tuple[ConditionWitness, bool | None]:
+    """witness_for(n, p, r), and the Condition (1) verdict where deciding
+    Condition (2) settled it (None elsewhere)."""
     if n < 1:
         raise ValueError("condition2_holds requires n >= 1")
     _check_prime(p)
     _check_prime(r)
     if n <= 8:
-        return all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n])
+        holds = all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n])
+        return ConditionWitness(n, "condition2", holds, p, r, "small_table"), None
     pp = is_prime_power(n)
+    if pp is not None and pp.prime in (p, r):
+        return ConditionWitness(n, "condition2", True, p, r, "prime_power_case"), None
+    c1 = _condition1(n, p, r)
     if pp is not None:
-        if pp.prime in (p, r):
-            return True
-        return condition2_direct(n, p, r)
-    return _condition1(n, p, r)
-
-
-def witness_for(n: int, p: int, r: int) -> ConditionWitness:
-    """Condition (2) verdict plus the route that decided it."""
-    holds = condition2_holds(n, p, r)
-    if n <= 8:
-        stage = "small_table"
+        holds, stage = c1 and _transitive_covered(n, p, r), "direct_search"
     else:
-        pp = is_prime_power(n)
-        if pp is not None and pp.prime in (p, r):
-            stage = "prime_power_case"
-        elif pp is None and _sieve_window_holds(n, p, r):
-            stage = "sieve_pair"
-        else:
-            stage = "direct_search"
-    return ConditionWitness(n, "condition2", holds, p, r, stage)
+        holds, stage = c1, "sieve_pair" if _sieve_window_holds(n, p, r) else "direct_search"
+    return ConditionWitness(n, "condition2", holds, p, r, stage), c1
 
 
 def _sieve_window_holds(n: int, p: int, r: int) -> bool:
     """Whether the pair is certified by a prime-power window at this n.
 
     Looks for p**a exactly dividing n and a power r**b with
-    r**b < n < r**b + p**a.
+    r**b < n < r**b + p**a: a counts the trailing zero base-p digits of n,
+    and b + 1 is the number of base-r digits of n - 1.
     """
-    if n % p != 0:
-        return False
-    pa = 1
-    m = n
-    while m % p == 0:
-        pa *= p
-        m //= p
-    rb = r
-    while rb * r < n:
-        rb *= r
-    return rb < n < rb + pa
+    a = next(i for i, d in enumerate(digits(n, p)) if d)
+    b = len(digits(n - 1, r)) - 1
+    return a > 0 and b > 0 and r**b + p**a > n
 
 
 def _check_prime(p: int) -> None:

@@ -22,16 +22,13 @@ from .arith import primes_upto
 
 __all__ = [
     "PsiCount",
-    "RhoTable",
     "U_MAX",
-    "build_rho_table",
     "density_bound_report",
     "dickman_rho",
     "psi_count",
 ]
 
 U_MAX = 30
-MESH_STEP = 2.0**-10
 
 _TERMS = 48  # Taylor terms per panel; tails decay at least geometrically
 # the continuity constant of each panel carries absolute error from the
@@ -40,18 +37,6 @@ _TERMS = 48  # Taylor terms per panel; tails decay at least geometrically
 _DPS = 100
 
 PSI_X_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class RhoTable:
-    """Uniform mesh of (u, rho(u)) values on [0, u_max]."""
-
-    mesh_step: float
-    values: np.ndarray  # shape (m, 2), columns u and rho
-
-    @property
-    def u_max(self) -> float:
-        return float(self.values[-1, 0])
 
 
 @dataclass(frozen=True)
@@ -110,31 +95,6 @@ def dickman_rho(u: float) -> float:
         return 1.0
     k = min(int(u), U_MAX - 1)  # u = U_MAX evaluates the last panel at t = 1/2
     return _eval_panel(_panels()[k], u - (k + 0.5))
-
-
-def build_rho_table(u_max: float = float(U_MAX), step: float = MESH_STEP) -> RhoTable:
-    """Tabulate rho on a uniform mesh over [0, u_max]."""
-    if not 0 < u_max <= U_MAX:
-        raise ValueError(f"u_max = {u_max} outside (0, {U_MAX}]")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = int(round(u_max / step))
-    us = np.arange(n + 1, dtype=np.float64) * step
-    rho = np.ones(n + 1, dtype=np.float64)
-    panels = _panels()
-    for k in range(1, U_MAX):
-        lo, hi = k, min(k + 1, u_max)
-        if lo >= u_max:
-            break
-        sel = (us > lo) & (us <= hi)
-        if not sel.any():
-            continue
-        t = us[sel] - (k + 0.5)
-        acc = np.zeros_like(t)
-        for c in reversed(panels[k]):
-            acc = acc * t + c
-        rho[sel] = acc
-    return RhoTable(step, np.column_stack([us, rho]))
 
 
 def psi_count(x: int, y: float) -> PsiCount:

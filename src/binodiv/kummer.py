@@ -10,49 +10,25 @@ a power of p.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .arith import digit_sum
 
 __all__ = [
-    "EquipartitionIndex",
-    "binomial_exact",
     "carries_add",
-    "equipartition_count",
     "equipartition_has_carry",
     "prime_divides_equipartition",
     "valuation_binomial",
 ]
 
-_BINOMIAL_N_CAP = 10**4
-_EQUIPARTITION_N_CAP = 10**3
-
-
-@dataclass(frozen=True)
-class EquipartitionIndex:
-    """Exact value of n! / ((d!)**(n/d) * (n/d)!) for d | n."""
-
-    n: int
-    d: int
-    value: int
-
 
 def carries_add(x: int, y: int, p: int) -> int:
-    """Number of carries when adding x and y schoolbook-style in base p."""
+    """Number of carries when adding x and y schoolbook-style in base p.
+
+    Each carry turns p units of one digit into one of the next, so the
+    count is (s(x) + s(y) - s(x + y)) / (p - 1) with s the base-p digit sum.
+    """
     if x < 0 or y < 0:
         raise ValueError("carries_add expects nonnegative addends")
-    if p < 2:
-        raise ValueError("base must be at least 2")
-    carries = 0
-    carry = 0
-    while x or y or carry:
-        col = x % p + y % p + carry
-        carry = 1 if col >= p else 0
-        carries += carry
-        x //= p
-        y //= p
-    return carries
+    return (digit_sum(x, p) + digit_sum(y, p) - digit_sum(x + y, p)) // (p - 1)
 
 
 def valuation_binomial(n: int, k: int, p: int) -> int:
@@ -60,30 +36,6 @@ def valuation_binomial(n: int, k: int, p: int) -> int:
     if not 0 <= k <= n:
         raise ValueError("valuation_binomial expects 0 <= k <= n")
     return carries_add(k, n - k, p)
-
-
-def binomial_exact(n: int, k: int) -> int:
-    """Exact C(n, k), guarded to n <= 10**4."""
-    if not 0 <= k <= n:
-        raise ValueError("binomial_exact expects 0 <= k <= n")
-    if n > _BINOMIAL_N_CAP:
-        raise ValueError(f"binomial_exact is capped at n <= {_BINOMIAL_N_CAP}")
-    return math.comb(n, k)
-
-
-def equipartition_count(n: int, d: int) -> EquipartitionIndex:
-    """Exact equipartition index via the telescoping product of binomials.
-
-    n! / ((d!)**m * m!) with m = n/d equals prod_{j=1..m} C(j*d - 1, d - 1):
-    place the largest unused point, then choose the rest of its block.
-    """
-    _check_block(n, d)
-    if n > _EQUIPARTITION_N_CAP:
-        raise ValueError(f"equipartition_count is capped at n <= {_EQUIPARTITION_N_CAP}")
-    value = 1
-    for j in range(1, n // d + 1):
-        value *= math.comb(j * d - 1, d - 1)
-    return EquipartitionIndex(n, d, value)
 
 
 def equipartition_has_carry(n: int, d: int, p: int) -> bool:
@@ -113,6 +65,7 @@ def prime_divides_equipartition(n: int, d: int, p: int) -> bool:
 
 
 def _is_power_of(d: int, p: int) -> bool:
+    # own loop: it stops at d's first nonzero base-p digit, digits() expands all
     while d % p == 0:
         d //= p
     return d == 1

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from math import factorial, lcm
 
+from .arith import is_prime, is_prime_power
+
 __all__ = [
     "CycleType",
     "Permutation",
@@ -19,12 +21,8 @@ __all__ = [
     "check_condition4_pair",
     "check_condition5",
     "class_members",
-    "compose",
-    "cycle_type",
     "find_condition5_failure_witness",
     "group_order",
-    "inverse",
-    "naive_closure_order",
     "parse_cycles",
 ]
 
@@ -153,18 +151,6 @@ class CycleType:
         return Permutation(tuple(img))
 
 
-def compose(g: Permutation, h: Permutation) -> Permutation:
-    return g * h
-
-
-def inverse(g: Permutation) -> Permutation:
-    return g.inverse()
-
-
-def cycle_type(g: Permutation) -> CycleType:
-    return g.cycle_type()
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based disjoint cycle notation, e.g. "(1 2 3)(4 5)".
 
@@ -284,37 +270,6 @@ def group_order(generators: list[Permutation]) -> int:
     if not generators:
         return 1
     return StabilizerChain(generators[0].degree, list(generators)).order()
-
-
-_NAIVE_CAP = 20160
-
-
-def naive_closure_order(generators: list[Permutation]) -> int:
-    """Breadth-first closure count; independent check for group_order.
-
-    Only for degree <= 8, where the closure fits in memory comfortably.
-    """
-    if not generators:
-        return 1
-    degree = generators[0].degree
-    if degree > 8:
-        raise ValueError("naive closure capped at degree 8")
-    ident = Permutation.identity(degree)
-    elems = {ident.images}
-    frontier = [ident]
-    gens = [g for g in generators if not g.is_identity()]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = h * g
-                if prod.images not in elems:
-                    elems.add(prod.images)
-                    nxt.append(prod)
-                    if len(elems) > _NAIVE_CAP:
-                        raise ValueError("closure exceeds cap")
-        frontier = nxt
-    return len(elems)
 
 
 def _orbit_count(degree: int, gens: list[Permutation]) -> int:
@@ -442,7 +397,7 @@ def check_condition4_pair(
         if not ct.is_even():
             raise ValueError(f"cycle type {ct.parts} is odd")
         order = ct.element_order()
-        if order == 1 or len(set(_prime_factors(order))) != 1:
+        if is_prime_power(order) is None:
             raise ValueError(f"element order {order} is not a prime power")
     target = factorial(n) // 2
     c = _class_rep(n, ctC, splitC if ctC.splits() else None)
@@ -454,20 +409,6 @@ def check_condition4_pair(
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _prime_order_classes(n: int) -> list[tuple[CycleType, int | None]]:
     """Even prime-order A_n-classes in sweep order.
 
@@ -475,7 +416,7 @@ def _prime_order_classes(n: int) -> list[tuple[CycleType, int | None]]:
     split type half 0 before half 1.
     """
     out: list[tuple[CycleType, int | None]] = []
-    for q in [x for x in range(2, n + 1) if len(_prime_factors(x)) == 1 and _prime_factors(x)[0] == x]:
+    for q in filter(is_prime, range(2, n + 1)):
         for m in range(1, n // q + 1):
             if (m * (q - 1)) % 2 != 0:
                 continue

@@ -60,7 +60,6 @@ __all__ = [
     "STAGES",
     "ScanRecord",
     "ScanSummary",
-    "condition5_sieve_pair",
     "direct_search",
     "failure_histogram",
     "format_record",
@@ -79,6 +78,8 @@ CHUNK = 1 << 16
 # the largest n any scan or search accepts; see _round_cap
 MAX_N = 10**8
 MODES = ("any", "with-two")
+# the prime every pair must contain, per mode
+_PINNED = {"any": None, "with-two": 2}
 STAGES = ("prime_power", "sieve", "direct", "other_divisor", "fail")
 _PRIME_POWER, _SIEVE, _DIRECT, _OTHER, _FAIL = range(5)
 
@@ -248,12 +249,12 @@ def _small_prime_list() -> tuple[int, ...]:
     return tuple(int(q) for q in primes_upto(_SMALL_BOUND))
 
 
-def _big_candidates(n: int, k0: int) -> list[int]:
+def _big_candidates(n: int, k0: int, primes: np.ndarray) -> list[int]:
     """Ascending primes q with _SMALL_BOUND < q < n dividing C(n, k0).
 
     For q > k0 divisibility means exactly one numerator term of C(n, k0) is
     a multiple of q, i.e. n mod q < k0; small k0 factors the terms, large
-    k0 sweeps remainders over the full prime table.
+    k0 sweeps remainders over the prime table, which must reach n.
     """
     if n - 1 <= _SMALL_BOUND:
         return []
@@ -264,10 +265,9 @@ def _big_candidates(n: int, k0: int) -> list[int]:
                 if _SMALL_BOUND < q < n:
                     out.add(q)
     else:
-        ps = _context(_round_cap(n)).primes
-        lo = int(np.searchsorted(ps, _SMALL_BOUND, side="right"))
-        hi = int(np.searchsorted(ps, n, side="left"))
-        sub = ps[lo:hi]
+        lo = int(np.searchsorted(primes, _SMALL_BOUND, side="right"))
+        hi = int(np.searchsorted(primes, n, side="left"))
+        sub = primes[lo:hi]
         out.update(int(q) for q in sub[(n % sub) < k0])
     return sorted(out)
 
@@ -279,9 +279,10 @@ def _filter_members(n: int, p: int) -> np.ndarray:
     return mem[np.minimum(np.arange(_FILTER_MEMBERS), mem.size - 1)]
 
 
-def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
-    ps[i], r), or 0 where there is none; no n may be a prime power.
+    ps[i], r), or 0 where there is none; no n may be a prime power, and
+    the prime table must reach every n.
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r).  The candidates are
@@ -305,7 +306,7 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
         qs = np.concatenate([q for _, q in kept])
         _search_rounds(n, p, owner, qs, found[g])
         todo = np.flatnonzero(found[g] == 0)
-        cands = [_big_candidates(int(n[i]), int(lead[i, 0])) for i in todo]
+        cands = [_big_candidates(int(n[i]), int(lead[i, 0]), primes) for i in todo]
         owner = np.repeat(todo, [len(c) for c in cands])
         qs = np.array([q for c in cands for q in c], dtype=np.int64)
         _search_rounds(n, p, *_filtered(lead, n, owner, qs), found[g])
@@ -373,25 +374,9 @@ def direct_search(n: int, p: int) -> int | None:
         if pp.prime < n and condition2_direct(n, p, pp.prime):
             return pp.prime
         return None
-    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64))[0])
+    ctx = _context(_round_cap(n))
+    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64), ctx.primes)[0])
     return r or None
-
-
-def condition5_sieve_pair(n: int) -> tuple[int, int] | None:
-    """Window pair for prime-order class arguments, or None.
-
-    Pairs the largest prime divisor p of n with the largest prime
-    r < n - 2 when r + p > n; the shape forces r + 2 < n < r + p.  Always
-    None for powers of 2, where p = 2 leaves the window empty.
-    """
-    _check_scan_n(n)
-    p = factorize(n).factors[-1][0]
-    r = n - 3
-    while r >= 2 and not is_prime(r):
-        r -= 1
-    if r >= 2 and r + p > n:
-        return (p, r)
-    return None
 
 
 def prime_gap_stats(hi: int) -> GapReport:
@@ -421,13 +406,16 @@ class _ChunkResult:
     exceptions: list[ScanRecord]
 
 
-def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest prime-power divisor (value, base) for each n in the block."""
+def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray, pinned: int | None):
+    """Largest prime-power divisor (value, base) for each n in the block,
+    and the base prime's part of each n: the pinned prime's part, or the
+    lppd value itself when nothing is pinned."""
     first = int(ns[0])
     top = int(ns[-1])
     rem = ns.copy()
     best_val = np.ones(ns.size, dtype=np.int64)
     best_p = np.ones(ns.size, dtype=np.int64)
+    base_part = best_val if pinned is None else np.ones(ns.size, dtype=np.int64)
     for q in ctx.sqrt_primes:
         q = int(q)
         if q * q > top:
@@ -444,6 +432,8 @@ def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray) -> tuple[np.ndarray, np.ndar
             sub[idxs] //= q
             part[idxs] *= q
             idxs = idxs[sub[idxs] % q == 0]
+        if q == pinned:
+            base_part[sl] = part
         bv = best_val[sl]
         bp = best_p[sl]
         upd = part > bv
@@ -453,40 +443,38 @@ def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray) -> tuple[np.ndarray, np.ndar
     upd = rem > best_val
     best_val[upd] = rem[upd]
     best_p[upd] = rem[upd]
-    return best_val, best_p
+    return best_val, best_p, base_part
 
 
-def _pow2_below(ns: np.ndarray) -> np.ndarray:
-    e = np.floor(np.log2((ns - 1).astype(np.float64))).astype(np.int64)
-    out = np.left_shift(np.int64(1), e)
-    big = out > ns - 1
-    out[big] >>= 1
-    small = (out << 1) <= ns - 1
-    out[small] <<= 1
+def _pow_below(ns: np.ndarray, prime: int) -> np.ndarray:
+    """The largest power of prime below each n >= 2."""
+    e = np.floor(np.log((ns - 1).astype(np.float64)) / np.log(prime)).astype(np.int64)
+    out = np.int64(prime) ** e
+    # the float exponent is off by at most one either way
+    out[out > ns - 1] //= prime
+    out[out * prime <= ns - 1] *= prime
     return out
 
 
-def _classify_residual(ns: np.ndarray, lead_p: np.ndarray, mode: str):
+def _classify_residual(ctx: _ScanContext, ns: np.ndarray, base: np.ndarray, pinned: int | None):
     """Stage codes and witness primes for residual n (none a prime power).
 
-    With-two pins p = 2.  Any mode first searches a partner for the base of
-    the largest prime-power divisor, then for each other prime divisor in
-    ascending order, every round batched over the n still unresolved.
+    Searches a partner for each n's base prime, then, when no prime is
+    pinned, for each other prime divisor in ascending order, every round
+    batched over the n still unresolved.
     """
-    ps = np.full(ns.size, 2, dtype=np.int64) if mode == "with-two" else lead_p
-    wr = _partner_search(ns, ps)
-    wp = np.where(wr > 0, ps, 0)
+    wr = _partner_search(ns, base, ctx.primes)
+    wp = np.where(wr > 0, base, 0)
     stage = np.where(wr > 0, _DIRECT, _FAIL).astype(np.uint8)
-    if mode == "any":
-        # then the other prime divisors, ascending, one round each
+    if pinned is None:
         todo = {
-            int(i): [q for q in factorize(int(ns[i])).primes() if q != lead_p[i]]
+            int(i): [q for q in factorize(int(ns[i])).primes() if q != base[i]]
             for i in np.flatnonzero(wr == 0)
         }
         while todo:
             i = np.fromiter(todo, dtype=np.int64)
             q = np.array([qs.pop(0) for qs in todo.values()], dtype=np.int64)
-            r = _partner_search(ns[i], q)
+            r = _partner_search(ns[i], q, ctx.primes)
             hit = r > 0
             stage[i[hit]], wp[i[hit]], wr[i[hit]] = _OTHER, q[hit], r[hit]
             todo = {j: qs for j, qs in todo.items() if qs and wr[j] == 0}
@@ -494,12 +482,22 @@ def _classify_residual(ns: np.ndarray, lead_p: np.ndarray, mode: str):
 
 
 def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
+    """One staging pipeline for both modes; mode only decides the pinned
+    prime, which every pair must contain (None: any pair)."""
+    pinned = _PINNED[mode]
     ctx = _context(cap)
     ns = np.arange(a, b + 1, dtype=np.int64)
-    lppd_val, lppd_p = _lppd_arrays(ctx, ns)
+    lppd_val, lppd_p, base_part = _lppd_arrays(ctx, ns, pinned)
     idx = np.searchsorted(ctx.pp_values, ns, side="left") - 1
     prevpp = ctx.pp_values[idx]
     prev_base = ctx.pp_primes[idx]
+    # each n's base prime and its largest power below n; with nothing
+    # pinned the base is the lppd's prime and has no power below, which
+    # leaves window B empty
+    if pinned is None:
+        base, base_below = lppd_p, np.zeros(ns.size, dtype=np.int64)
+    else:
+        base, base_below = np.full_like(ns, pinned), _pow_below(ns, pinned)
 
     stage = np.empty(ns.size, dtype=np.uint8)
     wp = np.zeros(ns.size, dtype=np.int64)
@@ -507,49 +505,25 @@ def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkRe
     pa = np.zeros(ns.size, dtype=np.int64)
     rb = np.zeros(ns.size, dtype=np.int64)
 
+    # n = q**e pairs q with the base prime (q itself unless another is pinned)
     pp_mask = lppd_val == ns
-    if mode == "any":
-        stage[pp_mask] = _PRIME_POWER
-        wp[pp_mask] = lppd_p[pp_mask]
-        wr[pp_mask] = lppd_p[pp_mask]
-        window = ~pp_mask & (prevpp + lppd_val > ns)
-        stage[window] = _SIEVE
-        wp[window] = lppd_p[window]
-        wr[window] = prev_base[window]
-        pa[window] = lppd_val[window]
-        rb[window] = prevpp[window]
-        residual = ~(pp_mask | window)
-    else:
-        two_pow = pp_mask & (np.bitwise_and(ns, ns - 1) == 0)
-        stage[two_pow] = _PRIME_POWER
-        wp[two_pow] = 2
-        wr[two_pow] = 2
-        odd_pp = pp_mask & ~two_pow
-        # odd prime powers keep a pair containing 2: the base itself
-        # partners with r = 2
-        stage[odd_pp] = _DIRECT
-        wp[odd_pp] = lppd_p[odd_pp]
-        wr[odd_pp] = 2
-        two_part = np.bitwise_and(ns, -ns)
-        mask_a = ~pp_mask & (two_part > 1) & (prevpp + two_part > ns)
-        stage[mask_a] = _SIEVE
-        wp[mask_a] = 2
-        wr[mask_a] = prev_base[mask_a]
-        pa[mask_a] = two_part[mask_a]
-        rb[mask_a] = prevpp[mask_a]
-        pow2 = _pow2_below(ns)
-        mask_b = ~(pp_mask | mask_a) & (lppd_val + pow2 > ns)
-        stage[mask_b] = _SIEVE
-        wp[mask_b] = lppd_p[mask_b]
-        wr[mask_b] = 2
-        pa[mask_b] = lppd_val[mask_b]
-        rb[mask_b] = pow2[mask_b]
-        residual = ~(pp_mask | mask_a | mask_b)
+    stage[pp_mask] = np.where(lppd_p[pp_mask] == base[pp_mask], _PRIME_POWER, _DIRECT)
+    wp[pp_mask], wr[pp_mask] = lppd_p[pp_mask], base[pp_mask]
+    # window A: the base prime's part of n and the largest prime power
+    # below n; window B: the lppd and the largest power of the base prime
+    # below n
+    win_a = ~pp_mask & (prevpp + base_part > ns)
+    win_b = ~(pp_mask | win_a) & (lppd_val + base_below > ns)
+    for win, cols in ((win_a, (base, prev_base, base_part, prevpp)), (win_b, (lppd_p, base, lppd_val, base_below))):
+        stage[win] = _SIEVE
+        # copyto makes no fancy-indexed temporaries, which raised peak RSS
+        for dst, src in zip((wp, wr, pa, rb), cols):
+            np.copyto(dst, src, where=win)
 
     exceptions: list[ScanRecord] = []
-    res = np.flatnonzero(residual)
+    res = np.flatnonzero(~(pp_mask | win_a | win_b))
     if res.size:
-        stage[res], wp[res], wr[res] = _classify_residual(ns[res], lppd_p[res], mode)
+        stage[res], wp[res], wr[res] = _classify_residual(ctx, ns[res], base[res], pinned)
         for i in res[stage[res] >= _OTHER]:
             code = int(stage[i])
             witness = (int(wp[i]), int(wr[i])) if code == _OTHER else None
@@ -597,6 +571,7 @@ def _run_chunks(
 
 
 def _pp_of(value: int, prime: int) -> PrimePower:
+    # own loop: len(digits(...)) took 85% longer, once per sieve record
     e = 0
     v = value
     while v > 1:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import binodiv
+from binodiv import conditions
 from binodiv.cli import main
 from binodiv.density import dickman_rho
 from binodiv.scan import MAX_N, iter_scan, scan_to_csv
@@ -43,6 +44,29 @@ def test_check_exceptional_witness(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["condition2"] is True and out["route"] == "direct_search"
+
+
+def test_check_decides_each_condition_once(capsys, monkeypatch):
+    calls = dict.fromkeys(("_condition1", "is_prime_power"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, real=getattr(conditions, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(conditions, name, counted)
+    code = main(["check", "46800", "2", "149"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out == {
+        "n": 46800,
+        "p": 2,
+        "r": 149,
+        "condition1": True,
+        "condition2": True,
+        "route": "direct_search",
+    }
+    assert calls == {"_condition1": 1, "is_prime_power": 1}
 
 
 def test_check_rejects_composite_prime_argument(capsys):

@@ -7,14 +7,13 @@ import pytest
 
 from binodiv.arith import primes_upto
 from binodiv.density import (
-    MESH_STEP,
     PSI_X_CAP,
     U_MAX,
-    build_rho_table,
     density_bound_report,
     dickman_rho,
     psi_count,
 )
+from oracles import MESH_STEP, build_rho_table
 
 
 def test_rho_flat_segment():

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binodiv.kummer import (
-    EquipartitionIndex,
-    binomial_exact,
     carries_add,
-    equipartition_count,
     equipartition_has_carry,
     prime_divides_equipartition,
     valuation_binomial,
 )
+from oracles import EquipartitionIndex, equipartition_count
 
 
 def _vp(m: int, p: int) -> int:
@@ -113,16 +111,6 @@ def test_valuation_binomial_rejects_bad_k():
         valuation_binomial(5, 6, 2)
     with pytest.raises(ValueError):
         valuation_binomial(5, -1, 2)
-
-
-def test_binomial_exact():
-    assert binomial_exact(0, 0) == 1
-    assert binomial_exact(52, 5) == 2598960
-    assert binomial_exact(10**4, 2) == 10**4 * (10**4 - 1) // 2
-    with pytest.raises(ValueError):
-        binomial_exact(10**4 + 1, 3)
-    with pytest.raises(ValueError):
-        binomial_exact(5, 6)
 
 
 def test_equipartition_count_formula():

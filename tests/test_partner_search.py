@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binodiv import conditions
+from binodiv import conditions, scan
 from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
 from binodiv.conditions import _dominated_mask, condition2_direct
-from binodiv.scan import direct_search, iter_scan, scan_one
+from binodiv.scan import direct_search, iter_scan, scan_one, scan_range
 
 
 def least_partner(n, p):
@@ -126,3 +126,10 @@ def test_dominated_mask_per_entry_n_and_base(rows, compact):
     want = [_naive_dominated(int(k), int(n), int(b)) for k, n, b in zip(ks, ns, bases)]
     with mock.patch.object(conditions, "_COMPACT", compact):
         assert _dominated_mask(ks, ns, bases).tolist() == want
+
+
+def test_big_candidates_sweep_the_scans_prime_table():
+    # n below 10**6 in a scan up to 1.1 * 10**6 use the cap-10**7 table
+    scan._context.cache_clear()
+    scan_range(900_000, 1_100_000, workers=1)
+    assert scan._context.cache_info().misses == 1

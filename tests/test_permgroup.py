@@ -14,9 +14,9 @@ from binodiv.permgroup import (
     find_condition5_failure_witness,
     format_cycles,
     group_order,
-    naive_closure_order,
     parse_cycles,
 )
+from oracles import naive_closure_order
 
 A5 = [parse_cycles("(1 2 3)", 5), parse_cycles("(1 2 3 4 5)", 5)]
 

@@ -14,7 +14,6 @@ from binodiv.scan import (
     GapReport,
     Histogram,
     ScanRecord,
-    condition5_sieve_pair,
     direct_search,
     failure_histogram,
     format_record,
@@ -28,6 +27,7 @@ from binodiv.scan import (
     scan_with_two,
     sieve_pair_for,
 )
+from oracles import condition5_sieve_pair
 
 
 def test_scan_one_any_mode():
