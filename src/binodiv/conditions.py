@@ -167,8 +167,6 @@ def obstructions(n: int, p: int, cap: int = OBSTRUCTION_CAP) -> ObstructionSet:
     """Carry-free k for (n, p): the k in (0, n) with p not dividing C(n, k)."""
     _check_n_prime(n, p)
     count = _dominated_count(n, p) - 2
-    if count < 0:
-        count = 0  # n = 0 never reaches here; guard for n = 1 semantics
     if count > cap:
         return ObstructionSet(n, p, count, None)
     return ObstructionSet(n, p, count, _members(n, p))

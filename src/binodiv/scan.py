@@ -244,11 +244,6 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
     return None
 
 
-@lru_cache(maxsize=1)
-def _small_prime_list() -> tuple[int, ...]:
-    return tuple(int(q) for q in primes_upto(_SMALL_BOUND))
-
-
 def _big_candidates(n: int, k0: int, primes: np.ndarray) -> list[int]:
     """Ascending primes q with _SMALL_BOUND < q < n dividing C(n, k0).
 
@@ -292,7 +287,7 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
     decides the rest.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
-    small = np.array(_small_prime_list(), dtype=np.int64)
+    small = primes[: int(np.searchsorted(primes, _SMALL_BOUND, side="right"))]
     step = _BATCH // small.size
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
@@ -448,12 +443,13 @@ def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray, pinned: int | None):
 
 def _pow_below(ns: np.ndarray, prime: int) -> np.ndarray:
     """The largest power of prime below each n >= 2."""
-    e = np.floor(np.log((ns - 1).astype(np.float64)) / np.log(prime)).astype(np.int64)
-    out = np.int64(prime) ** e
-    # the float exponent is off by at most one either way
-    out[out > ns - 1] //= prime
-    out[out * prime <= ns - 1] *= prime
-    return out
+    # Python ints, so no power overflows int64 on the way past the top n
+    top = int(ns.max())
+    powers = [1]
+    while powers[-1] * prime < top:
+        powers.append(powers[-1] * prime)
+    table = np.array(powers, dtype=np.int64)
+    return table[np.searchsorted(table, ns, side="left") - 1]
 
 
 def _classify_residual(ctx: _ScanContext, ns: np.ndarray, base: np.ndarray, pinned: int | None):
@@ -802,28 +798,24 @@ def scan_to_csv(
     *,
     mode: str = "any",
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 4096,
     workers: int | None = None,
     progress: Callable[[int], None] | None = None,
-    _records: Iterable[ScanRecord] | None = None,
 ) -> ScanSummary:
-    """Stream scan records to CSV with periodic atomic checkpoints.
+    """Stream scan records to CSV, with an atomic checkpoint after each chunk.
 
     When the checkpoint file names a previous stopping point and the CSV
     starts with the header, the scan resumes after the last intact row up
-    to that point and appends; an interrupted run followed by a resumed one
-    therefore produces output byte-identical to a single uninterrupted
-    run.  The returned summary
-    covers all of [lo, hi], the rows kept from earlier runs included; its
-    elapsed_seconds is this call's scanning time.  On interrupt the
-    checkpoint is brought up to the last record written before the
-    exception propagates.
+    to that point and appends, so an interrupted and resumed run writes the
+    bytes of an uninterrupted one.  After a hard crash the resume redoes at
+    most one chunk of rows written past the checkpoint; on interrupt the
+    checkpoint is brought up to the last row written before the exception
+    propagates.  progress gets the count of n written so far in this call.
+    The summary covers all of [lo, hi], rows kept from earlier runs
+    included; its elapsed_seconds is this call's scanning time.
     """
     _check_range(lo, hi)
     _check_mode(mode)
     _round_cap(hi)
-    if checkpoint_every < 1:
-        raise ValueError(f"need checkpoint_every >= 1, got {checkpoint_every}")
     start = lo
     open_mode = "w"
     counts = dict.fromkeys(STAGES, 0)
@@ -839,34 +831,26 @@ def scan_to_csv(
     t0 = time.monotonic()
     if start > hi:
         return ScanSummary(lo, hi, mode, counts, exceptions, 0.0)
-    records = _records
-    if records is None:
-        records = iter_scan(start, hi, mode, workers=workers)
     last = start - 1
     with open(out_path, open_mode, encoding="ascii") as fh:
         if open_mode == "w":
             fh.write(CSV_HEADER + "\n")
-        since = 0
         try:
-            for rec in records:
-                fh.write(format_record(rec) + "\n")
-                counts[rec.stage] += 1
-                if rec.stage in ("other_divisor", "fail"):
-                    exceptions.append(rec)
-                last = rec.n
-                since += 1
-                if checkpoint_path is not None and since >= checkpoint_every:
-                    fh.flush()
+            for chunk in _run_chunks(start, hi, mode, workers, keep=True):
+                for rec in _materialize(chunk):
+                    fh.write(format_record(rec) + "\n")
+                    last = rec.n
+                fh.flush()
+                if checkpoint_path is not None:
                     _write_checkpoint(checkpoint_path, last)
-                    since = 0
-                    if progress is not None:
-                        progress(last)
+                for name, c in zip(STAGES, chunk.counts):
+                    counts[name] += int(c)
+                exceptions.extend(chunk.exceptions)
+                if progress is not None:
+                    progress(last - start + 1)
         except KeyboardInterrupt:
             fh.flush()
             if checkpoint_path is not None and last >= start:
                 _write_checkpoint(checkpoint_path, last)
             raise
-        fh.flush()
-    if checkpoint_path is not None and last >= start:
-        _write_checkpoint(checkpoint_path, last)
     return ScanSummary(lo, hi, mode, counts, exceptions, time.monotonic() - t0)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from binodiv import scan
 from binodiv.arith import is_prime_power, primes_upto
 from binodiv.conditions import condition1_holds, condition2_direct
 from binodiv.density import dickman_rho, psi_count
@@ -24,7 +25,7 @@ from binodiv.permgroup import (
     find_condition5_failure_witness,
     group_order,
 )
-from binodiv.scan import iter_scan, scan_one, scan_range, scan_to_csv, scan_with_two
+from binodiv.scan import format_record, scan_one, scan_range, scan_to_csv, scan_with_two
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -220,22 +221,25 @@ def test_criterion_09_window_certificates_revalidate():
     assert elapsed < 300.0
 
 
-def test_criterion_10_interrupt_and_resume(tmp_path):
+def test_criterion_10_interrupt_and_resume(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     lo, hi = 9, 10**5
     clean = tmp_path / "clean.csv"
     scan_to_csv(lo, hi, str(clean))
 
-    def interrupted():
-        for i, rec in enumerate(iter_scan(lo, hi)):
-            if i >= 43210:
-                raise KeyboardInterrupt
-            yield rec
+    written = []
+
+    def format_or_stop(rec):
+        if len(written) >= 43210:
+            raise KeyboardInterrupt
+        written.append(rec.n)
+        return format_record(rec)
 
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
-    with pytest.raises(KeyboardInterrupt):
-        scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt), _records=interrupted())
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(scan, "format_record", format_or_stop)
+        scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
 
     def digest(path):

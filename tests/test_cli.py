@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import binodiv
-from binodiv import conditions
+from binodiv import conditions, scan
 from binodiv.cli import main
 from binodiv.density import dickman_rho
-from binodiv.scan import MAX_N, iter_scan, scan_to_csv
+from binodiv.scan import MAX_N, format_record, scan_to_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -123,7 +123,7 @@ def test_scan_out_writes_csv_and_summary(tmp_path, capsys):
     assert str(out) in captured.err
 
 
-def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys):
+def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
     lo, hi = 9, 8000
     clean = tmp_path / "clean.csv"
     assert main(["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(clean)]) == 0
@@ -133,17 +133,17 @@ def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     ckpt = tmp_path / "rows.ckpt"
 
-    def interrupted():
-        for i, rec in enumerate(iter_scan(lo, hi, "with-two")):
-            if i == 4321:
-                raise KeyboardInterrupt
-            yield rec
+    written = []
 
-    with pytest.raises(KeyboardInterrupt):
-        scan_to_csv(
-            lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt),
-            checkpoint_every=512, _records=interrupted(),
-        )
+    def format_or_stop(rec):
+        if len(written) == 4321:
+            raise KeyboardInterrupt
+        written.append(rec.n)
+        return format_record(rec)
+
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(scan, "format_record", format_or_stop)
+        scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
     assert lo < int(ckpt.read_text()) < hi
     argv = ["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(out), "--checkpoint", str(ckpt)]
     assert main(argv) == 0
@@ -187,7 +187,7 @@ def test_hist_stdout(capsys):
 
 def test_hist_bucket_width_flag_and_out(tmp_path, capsys):
     out = tmp_path / "hist.csv"
-    code = main(["hist", "300", "--bucket-width", "64", "--out", str(out)])
+    code = main(["hist", "300", "64", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == ""

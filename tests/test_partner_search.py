@@ -133,3 +133,18 @@ def test_big_candidates_sweep_the_scans_prime_table():
     scan._context.cache_clear()
     scan_range(900_000, 1_100_000, workers=1)
     assert scan._context.cache_info().misses == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prime=st.sampled_from([2, 3, 7, 997, 9973, 99991]),
+    ns=st.lists(st.integers(2, scan.MAX_N), min_size=1, max_size=40),
+)
+def test_pow_below_is_the_largest_power_below_each_n(prime, ns):
+    want = []
+    for n in ns:
+        q = 1
+        while q * prime < n:
+            q *= prime
+        want.append(q)
+    assert scan._pow_below(np.array(ns, dtype=np.int64), prime).tolist() == want

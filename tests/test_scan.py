@@ -323,13 +323,18 @@ def test_read_csv_rejects_wrong_header(tmp_path):
         list(read_csv(str(path)))
 
 
-def _interrupted_records(lo, hi, mode, stop_after):
-    sent = 0
-    for rec in iter_scan(lo, hi, mode):
-        if sent >= stop_after:
+def _stop_after(rows):
+    """A format_record that raises KeyboardInterrupt in place of row rows + 1."""
+    written = 0
+
+    def format_or_stop(rec):
+        nonlocal written
+        if written >= rows:
             raise KeyboardInterrupt
-        yield rec
-        sent += 1
+        written += 1
+        return format_record(rec)
+
+    return format_or_stop
 
 
 def _digest(path):
@@ -337,22 +342,16 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def test_interrupted_resume_is_byte_identical(tmp_path):
+def test_interrupted_resume_is_byte_identical(tmp_path, monkeypatch):
     lo, hi = 9, 15000
     clean = tmp_path / "clean.csv"
     whole = scan_to_csv(lo, hi, str(clean), checkpoint_path=str(tmp_path / "clean.ckpt"))
 
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
-    with pytest.raises(KeyboardInterrupt):
-        scan_to_csv(
-            lo,
-            hi,
-            str(out),
-            checkpoint_path=str(ckpt),
-            checkpoint_every=512,
-            _records=_interrupted_records(lo, hi, "any", 7321),
-        )
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(scan, "format_record", _stop_after(7321))
+        scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     stopped_at = int(ckpt.read_text().strip())
     assert stopped_at == lo + 7321 - 1  # checkpoint covers every written row
     resumed = scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
@@ -362,6 +361,45 @@ def test_interrupted_resume_is_byte_identical(tmp_path):
     assert resumed.exceptions == whole.exceptions
     assert _digest(out) == _digest(clean)
     assert int(ckpt.read_text().strip()) == hi
+
+
+def test_interrupt_in_a_later_chunk_resumes_byte_identical(tmp_path, monkeypatch):
+    lo, hi = 9, CHUNK + 3000
+    clean = tmp_path / "clean.csv"
+    whole = scan_to_csv(lo, hi, str(clean), mode="with-two")
+
+    out = tmp_path / "resumed.csv"
+    ckpt = tmp_path / "resumed.ckpt"
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(scan, "format_record", _stop_after(CHUNK + 1234))
+        scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
+    assert int(ckpt.read_text().strip()) == lo + CHUNK + 1234 - 1
+    resumed = scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
+    assert (resumed.lo, resumed.hi, resumed.mode) == (lo, hi, "with-two")
+    assert resumed.counts == whole.counts
+    assert resumed.exceptions == whole.exceptions
+    assert _digest(out) == _digest(clean)
+
+
+def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
+    seen = []
+    real = scan._write_checkpoint
+
+    def record(path, n):
+        seen.append(n)
+        real(path, n)
+
+    monkeypatch.setattr(scan, "_write_checkpoint", record)
+    lo, hi = 9, 2 * CHUNK + 100
+    scan_to_csv(lo, hi, str(tmp_path / "rows.csv"), checkpoint_path=str(tmp_path / "rows.ckpt"))
+    assert seen == [lo + CHUNK - 1, lo + 2 * CHUNK - 1, hi]
+    assert int((tmp_path / "rows.ckpt").read_text()) == hi
+
+
+def test_scan_to_csv_progress_reports_cumulative_counts(tmp_path):
+    seen = []
+    scan_to_csv(9, CHUNK + 100, str(tmp_path / "rows.csv"), progress=seen.append)
+    assert seen == [CHUNK, CHUNK + 100 - 9 + 1]
 
 
 def test_resume_with_torn_tail_line(tmp_path):
@@ -425,8 +463,6 @@ def test_garbage_checkpoint_triggers_fresh_run(tmp_path):
 
 
 def test_scan_to_csv_validation(tmp_path):
-    with pytest.raises(ValueError):
-        scan_to_csv(9, 20, str(tmp_path / "x.csv"), checkpoint_every=0)
     with pytest.raises(ValueError):
         scan_to_csv(5, 20, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
