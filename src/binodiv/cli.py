@@ -28,9 +28,8 @@ from .permgroup import (
 from .scan import (
     CSV_HEADER,
     STAGES,
+    _write_csv,
     failure_histogram,
-    format_record,
-    iter_scan,
     prime_gap_stats,
     scan_range,
     scan_to_csv,
@@ -95,11 +94,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(summary.to_json())
         counts = summary.counts
     elif args.format == "csv":
-        counts = dict.fromkeys(STAGES, 0)
         print(CSV_HEADER)
-        for rec in iter_scan(args.lo, args.hi, mode, workers=args.workers):
-            print(format_record(rec))
-            counts[rec.stage] += 1
+        chunks = _write_csv(sys.stdout, args.lo, args.hi, mode, args.workers)
+        counts = dict(zip(STAGES, sum(chunk.counts for chunk in chunks)))
     else:
         run = scan_with_two if mode == "with-two" else scan_range
         summary = run(args.lo, args.hi, workers=args.workers, progress=progress)

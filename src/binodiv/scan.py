@@ -27,7 +27,7 @@ from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -542,6 +542,8 @@ def _run_chunks(
     workers: int | None,
     keep: bool,
 ) -> Iterator[_ChunkResult]:
+    _check_range(lo, hi)
+    _check_mode(mode)
     cap = _round_cap(hi)
     _context(cap)  # build before any fork so workers inherit the tables
     bounds = _chunk_bounds(lo, hi)
@@ -568,29 +570,17 @@ def _run_chunks(
 
 def _pp_of(value: int, prime: int) -> PrimePower:
     # own loop: len(digits(...)) took 85% longer, once per sieve record
-    e = 0
-    v = value
+    e, v = 0, value
     while v > 1:
-        v //= prime
-        e += 1
+        v, e = v // prime, e + 1
     return PrimePower(prime, e, value)
 
 
 def _materialize(chunk: _ChunkResult) -> Iterator[ScanRecord]:
-    assert chunk.stage is not None
-    for i in range(chunk.stage.size):
-        code = int(chunk.stage[i])
-        witness = None
-        pair = None
-        p = int(chunk.wp[i])
-        if p:
-            witness = (p, int(chunk.wr[i]))
-        if code == _SIEVE:
-            pair = (
-                _pp_of(int(chunk.pa[i]), witness[0]),
-                _pp_of(int(chunk.rb[i]), witness[1]),
-            )
-        yield ScanRecord(chunk.lo + i, STAGES[code], witness, pair)
+    cols = (chunk.stage, chunk.wp, chunk.wr, chunk.pa, chunk.rb)
+    for n, (code, p, r, pa, rb) in enumerate(zip(*(col.tolist() for col in cols)), chunk.lo):
+        pair = (_pp_of(pa, p), _pp_of(rb, r)) if code == _SIEVE else None
+        yield ScanRecord(n, STAGES[code], (p, r) if p else None, pair)
 
 
 def iter_scan(
@@ -601,8 +591,6 @@ def iter_scan(
     workers: int | None = None,
 ) -> Iterator[ScanRecord]:
     """Records for lo..hi in ascending n, independent of worker count."""
-    _check_range(lo, hi)
-    _check_mode(mode)
     for chunk in _run_chunks(lo, hi, mode, workers, keep=True):
         yield from _materialize(chunk)
 
@@ -619,8 +607,6 @@ def _summarize(
     workers: int | None,
     progress: Callable[[int], None] | None,
 ) -> ScanSummary:
-    _check_range(lo, hi)
-    _check_mode(mode)
     t0 = time.monotonic()
     counts = np.zeros(len(STAGES), dtype=np.int64)
     exceptions: list[ScanRecord] = []
@@ -690,6 +676,8 @@ def failure_histogram(
 # CSV stream, checkpointed emission
 
 CSV_HEADER = "n,stage,p,r,pa,rb"
+# rows per writelines call; formatting a whole chunk at once raised peak RSS
+_SLICE = 1024
 
 
 def format_record(rec: ScanRecord) -> str:
@@ -730,21 +718,49 @@ def read_csv(path: str) -> Iterator[ScanRecord]:
             yield parse_record(line)
 
 
-def _write_checkpoint(path: str, n: int) -> None:
+def _csv_slices(chunk: _ChunkResult) -> Iterator[list[str]]:
+    """The chunk's CSV lines as format_record writes them, _SLICE rows at a
+    time, formatted column-wise from its arrays.  A 0 in wp, wr, pa or rb
+    means no witness or no sieve pair, so it becomes an empty field."""
+    for a in range(0, chunk.stage.size, _SLICE):
+        sl = slice(a, a + _SLICE)
+        names = [STAGES[code] for code in chunk.stage[sl].tolist()]
+        cols = ([v or "" for v in col[sl].tolist()] for col in (chunk.wp, chunk.wr, chunk.pa, chunk.rb))
+        rows = zip(range(chunk.lo + a, chunk.lo + a + len(names)), names, *cols)
+        yield [f"{n},{stage},{p},{r},{pa},{rb}\n" for n, stage, p, r, pa, rb in rows]
+
+
+def _write_csv(fh: TextIO, lo: int, hi: int, mode: str, workers: int | None) -> Iterator[_ChunkResult]:
+    """Write the CSV rows of [lo, hi] to fh, yielding each chunk once all
+    of its rows are written."""
+    for chunk in _run_chunks(lo, hi, mode, workers, keep=True):
+        for rows in _csv_slices(chunk):
+            fh.writelines(rows)
+        yield chunk
+
+
+def _write_checkpoint(path: str, run: dict, n: int) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"{n}\n")
+        fh.write(json.dumps({**run, "last": n}) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str) -> int | None:
+def _read_checkpoint(path: str, run: dict) -> int | None:
+    """The last n that a checkpoint of this run (mode, lo and hi) records,
+    or None when the file is missing or holds no JSON; a checkpoint of
+    another run, or one without mode and range, is refused."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return int(fh.read().strip())
+            text = fh.read()
+        saved = json.loads(text)
     except (OSError, ValueError):
         return None
+    if not isinstance(saved, dict) or {k: saved.get(k) for k in run} != run or not isinstance(saved.get("last"), int):
+        raise ValueError(f"checkpoint {path} holds {text.strip()}; this scan is {run['mode']} on [{run['lo']}, {run['hi']}]")
+    return saved["last"]
 
 
 def _resume_rows(path: str, lo: int, last_n: int) -> tuple[int, dict[str, int], list[ScanRecord]] | None:
@@ -803,26 +819,29 @@ def scan_to_csv(
 ) -> ScanSummary:
     """Stream scan records to CSV, with an atomic checkpoint after each chunk.
 
-    When the checkpoint file names a previous stopping point and the CSV
-    starts with the header, the scan resumes after the last intact row up
-    to that point and appends, so an interrupted and resumed run writes the
-    bytes of an uninterrupted one.  After a hard crash the resume redoes at
-    most one chunk of rows written past the checkpoint; on interrupt the
-    checkpoint is brought up to the last row written before the exception
-    propagates.  progress gets the count of n written so far in this call.
-    The summary covers all of [lo, hi], rows kept from earlier runs
-    included; its elapsed_seconds is this call's scanning time.
+    The checkpoint is JSON holding mode, lo and hi of the call and the last
+    n of the last fully written chunk.  When it names an earlier stopping
+    point of the same call and the CSV starts with the header, the scan
+    resumes after the last intact row up to that point and appends, so an
+    interrupted and resumed run writes the bytes of an uninterrupted one.
+    Rows above the checkpoint, left by an interrupt or a crash inside a
+    chunk, are dropped on resume and written again.  A checkpoint of another
+    mode or range, or one without them, raises ValueError before the CSV is
+    opened.  progress gets the count of n written so far in this call.  The
+    summary covers all of [lo, hi], rows kept from earlier runs included;
+    its elapsed_seconds is this call's scanning time.
     """
     _check_range(lo, hi)
     _check_mode(mode)
     _round_cap(hi)
+    run = {"mode": mode, "lo": lo, "hi": hi}
     start = lo
     open_mode = "w"
     counts = dict.fromkeys(STAGES, 0)
     exceptions: list[ScanRecord] = []
     if checkpoint_path is not None:
-        done = _read_checkpoint(checkpoint_path)
-        kept = _resume_rows(out_path, lo, done) if done is not None and done >= lo else None
+        done = _read_checkpoint(checkpoint_path, run)
+        kept = _resume_rows(out_path, lo, done) if done is not None else None
         if kept is not None:
             # a damaged row at or below the checkpoint is scanned again
             last, counts, exceptions = kept
@@ -831,26 +850,17 @@ def scan_to_csv(
     t0 = time.monotonic()
     if start > hi:
         return ScanSummary(lo, hi, mode, counts, exceptions, 0.0)
-    last = start - 1
     with open(out_path, open_mode, encoding="ascii") as fh:
         if open_mode == "w":
             fh.write(CSV_HEADER + "\n")
-        try:
-            for chunk in _run_chunks(start, hi, mode, workers, keep=True):
-                for rec in _materialize(chunk):
-                    fh.write(format_record(rec) + "\n")
-                    last = rec.n
-                fh.flush()
-                if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, last)
-                for name, c in zip(STAGES, chunk.counts):
-                    counts[name] += int(c)
-                exceptions.extend(chunk.exceptions)
-                if progress is not None:
-                    progress(last - start + 1)
-        except KeyboardInterrupt:
+        for chunk in _write_csv(fh, start, hi, mode, workers):
+            last = chunk.lo + chunk.stage.size - 1
             fh.flush()
-            if checkpoint_path is not None and last >= start:
-                _write_checkpoint(checkpoint_path, last)
-            raise
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, run, last)
+            for name, c in zip(STAGES, chunk.counts):
+                counts[name] += int(c)
+            exceptions.extend(chunk.exceptions)
+            if progress is not None:
+                progress(last - start + 1)
     return ScanSummary(lo, hi, mode, counts, exceptions, time.monotonic() - t0)

@@ -25,7 +25,8 @@ from binodiv.permgroup import (
     find_condition5_failure_witness,
     group_order,
 )
-from binodiv.scan import format_record, scan_one, scan_range, scan_to_csv, scan_with_two
+from binodiv.scan import CHUNK, scan_one, scan_range, scan_to_csv, scan_with_two
+from resume import checkpoint_last, stop_at_slice
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -227,19 +228,13 @@ def test_criterion_10_interrupt_and_resume(tmp_path, monkeypatch):
     clean = tmp_path / "clean.csv"
     scan_to_csv(lo, hi, str(clean))
 
-    written = []
-
-    def format_or_stop(rec):
-        if len(written) >= 43210:
-            raise KeyboardInterrupt
-        written.append(rec.n)
-        return format_record(rec)
-
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "format_record", format_or_stop)
+        # four slices into the second chunk, whose rows lie above the checkpoint
+        m.setattr(scan, "_csv_slices", stop_at_slice(CHUNK // scan._SLICE + 4))
         scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
+    assert checkpoint_last(ckpt) == lo + CHUNK - 1
     scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
 
     def digest(path):

@@ -12,7 +12,8 @@ import binodiv
 from binodiv import conditions, scan
 from binodiv.cli import main
 from binodiv.density import dickman_rho
-from binodiv.scan import MAX_N, format_record, scan_to_csv
+from binodiv.scan import MAX_N, scan_to_csv
+from resume import checkpoint_last, last_row_n, stop_at_slice
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -124,6 +125,9 @@ def test_scan_out_writes_csv_and_summary(tmp_path, capsys):
 
 
 def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
+    # chunks of 2048 n, so that [9, 8000] has four and a checkpoint below hi
+    # without a with-two scan of a whole 2**16 chunk
+    monkeypatch.setattr(scan, "CHUNK", 2048)
     lo, hi = 9, 8000
     clean = tmp_path / "clean.csv"
     assert main(["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(clean)]) == 0
@@ -132,19 +136,11 @@ def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
 
     out = tmp_path / "rows.csv"
     ckpt = tmp_path / "rows.ckpt"
-
-    written = []
-
-    def format_or_stop(rec):
-        if len(written) == 4321:
-            raise KeyboardInterrupt
-        written.append(rec.n)
-        return format_record(rec)
-
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "format_record", format_or_stop)
+        m.setattr(scan, "_csv_slices", stop_at_slice(2))  # as the third chunk starts
         scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
-    assert lo < int(ckpt.read_text()) < hi
+    assert lo < checkpoint_last(ckpt) < hi
+    assert last_row_n(out) == checkpoint_last(ckpt)
     argv = ["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(out), "--checkpoint", str(ckpt)]
     assert main(argv) == 0
     stdout = json.loads(capsys.readouterr().out)
@@ -154,6 +150,28 @@ def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
     assert got == want
     assert got["mode"] == "with-two" and got["counts"]["fail"] > 0
     assert out.read_bytes() == clean.read_bytes()
+
+
+def test_scan_refuses_a_checkpoint_of_another_run(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    ckpt = tmp_path / "r.ckpt"
+    assert main(["scan", "9", "3000", "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    argv = ["scan", "9", "1000", "--mode", "with-two", "--out", str(out), "--checkpoint", str(ckpt)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint") and "with-two on [9, 1000]" in err
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", ["any", "with-two"])
+def test_scan_csv_stdout_equals_out_file(tmp_path, capsys, mode):
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "9", "2000", "--mode", mode, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["scan", "9", "2000", "--mode", mode, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="ascii")
 
 
 def test_scan_refuses_range_above_limit(capsys):

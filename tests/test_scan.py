@@ -1,8 +1,11 @@
 import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binodiv import arith, scan
 from binodiv.arith import PrimePower, is_prime, is_prime_power, primes_upto
@@ -28,6 +31,7 @@ from binodiv.scan import (
     sieve_pair_for,
 )
 from oracles import condition5_sieve_pair
+from resume import checkpoint_last, last_row_n, stop_at_slice, write_checkpoint
 
 
 def test_scan_one_any_mode():
@@ -323,57 +327,50 @@ def test_read_csv_rejects_wrong_header(tmp_path):
         list(read_csv(str(path)))
 
 
-def _stop_after(rows):
-    """A format_record that raises KeyboardInterrupt in place of row rows + 1."""
-    written = 0
-
-    def format_or_stop(rec):
-        nonlocal written
-        if written >= rows:
-            raise KeyboardInterrupt
-        written += 1
-        return format_record(rec)
-
-    return format_or_stop
-
-
 def _digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# slices in a full chunk
+SLICES = CHUNK // scan._SLICE
+
+
 def test_interrupted_resume_is_byte_identical(tmp_path, monkeypatch):
-    lo, hi = 9, 15000
+    lo, hi = 9, CHUNK + 15000
     clean = tmp_path / "clean.csv"
     whole = scan_to_csv(lo, hi, str(clean), checkpoint_path=str(tmp_path / "clean.ckpt"))
 
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "format_record", _stop_after(7321))
+        m.setattr(scan, "_csv_slices", stop_at_slice(SLICES))  # as the second chunk starts
         scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
-    stopped_at = int(ckpt.read_text().strip())
-    assert stopped_at == lo + 7321 - 1  # checkpoint covers every written row
+    stopped_at = checkpoint_last(ckpt)
+    assert stopped_at == lo + CHUNK - 1
+    assert last_row_n(out) == stopped_at  # checkpoint covers every written row
     resumed = scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     # the summary covers the whole range, the rows of the first run included
     assert (resumed.lo, resumed.hi) == (lo, hi)
     assert resumed.counts == whole.counts
     assert resumed.exceptions == whole.exceptions
     assert _digest(out) == _digest(clean)
-    assert int(ckpt.read_text().strip()) == hi
+    assert checkpoint_last(ckpt) == hi
 
 
 def test_interrupt_in_a_later_chunk_resumes_byte_identical(tmp_path, monkeypatch):
-    lo, hi = 9, CHUNK + 3000
+    lo, hi = 9, CHUNK + 3 * scan._SLICE + 100
     clean = tmp_path / "clean.csv"
     whole = scan_to_csv(lo, hi, str(clean), mode="with-two")
 
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "format_record", _stop_after(CHUNK + 1234))
+        m.setattr(scan, "_csv_slices", stop_at_slice(SLICES + 2))  # two slices into the second chunk
         scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
-    assert int(ckpt.read_text().strip()) == lo + CHUNK + 1234 - 1
+    # the checkpoint covers the first chunk; the rows written past it go on resume
+    assert checkpoint_last(ckpt) == lo + CHUNK - 1
+    assert last_row_n(out) == lo + CHUNK - 1 + 2 * scan._SLICE
     resumed = scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
     assert (resumed.lo, resumed.hi, resumed.mode) == (lo, hi, "with-two")
     assert resumed.counts == whole.counts
@@ -381,19 +378,39 @@ def test_interrupt_in_a_later_chunk_resumes_byte_identical(tmp_path, monkeypatch
     assert _digest(out) == _digest(clean)
 
 
+def test_crash_mid_chunk_resumes_byte_identical(tmp_path):
+    lo, hi = 9, CHUNK + 3000
+    clean = tmp_path / "clean.csv"
+    whole = scan_to_csv(lo, hi, str(clean))
+    # a crash inside the second chunk: its checkpoint was never written, and
+    # the CSV holds some of its rows and then half a line
+    lines = clean.read_text(encoding="ascii").splitlines(keepends=True)
+    kept = 1 + CHUNK + 1500
+    out = tmp_path / "crashed.csv"
+    out.write_text("".join(lines[:kept]) + lines[kept][:7], encoding="ascii")
+    ckpt = tmp_path / "crashed.ckpt"
+    write_checkpoint(ckpt, "any", lo, hi, lo + CHUNK - 1)
+    resumed = scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
+    assert resumed.counts == whole.counts
+    assert resumed.exceptions == whole.exceptions
+    assert _digest(out) == _digest(clean)
+    assert checkpoint_last(ckpt) == hi
+
+
 def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
     seen = []
     real = scan._write_checkpoint
 
-    def record(path, n):
+    def record(path, run, n):
         seen.append(n)
-        real(path, n)
+        real(path, run, n)
 
     monkeypatch.setattr(scan, "_write_checkpoint", record)
     lo, hi = 9, 2 * CHUNK + 100
-    scan_to_csv(lo, hi, str(tmp_path / "rows.csv"), checkpoint_path=str(tmp_path / "rows.ckpt"))
+    ckpt = tmp_path / "rows.ckpt"
+    scan_to_csv(lo, hi, str(tmp_path / "rows.csv"), checkpoint_path=str(ckpt))
     assert seen == [lo + CHUNK - 1, lo + 2 * CHUNK - 1, hi]
-    assert int((tmp_path / "rows.ckpt").read_text()) == hi
+    assert json.loads(ckpt.read_text()) == {"mode": "any", "lo": lo, "hi": hi, "last": hi}
 
 
 def test_scan_to_csv_progress_reports_cumulative_counts(tmp_path):
@@ -416,7 +433,7 @@ def test_resume_with_torn_tail_line(tmp_path):
         fh.truncate()
     lines = out.read_text(encoding="ascii").splitlines()
     last_full = int(lines[-2].split(",")[0])
-    ckpt.write_text(f"{last_full - 37}\n", encoding="ascii")
+    write_checkpoint(ckpt, "any", 9, 1200, last_full - 37)
     scan_to_csv(9, 1200, str(out), checkpoint_path=str(ckpt))
     assert _digest(out) == _digest(clean)
 
@@ -460,6 +477,71 @@ def test_garbage_checkpoint_triggers_fresh_run(tmp_path):
     ckpt.write_text("bogus\n", encoding="ascii")
     scan_to_csv(9, 500, str(out), checkpoint_path=str(ckpt))
     assert _digest(out) == _digest(clean)
+
+
+def test_resume_refuses_a_checkpoint_of_another_run(tmp_path):
+    out = tmp_path / "r.csv"
+    ckpt = tmp_path / "r.ckpt"
+    scan_to_csv(9, 3000, str(out), checkpoint_path=str(ckpt))
+    before = _digest(out)
+    # a with-two resume of [9, 1000] once counted the 2,992 any-mode rows
+    with pytest.raises(ValueError, match=r"\"any\".*\b3000\b.*this scan is with-two on \[9, 1000\]"):
+        scan_to_csv(9, 1000, str(out), checkpoint_path=str(ckpt), mode="with-two")
+    for lo, hi in ((9, 2000), (10, 3000), (9, 4000)):
+        with pytest.raises(ValueError, match=rf"this scan is any on \[{lo}, {hi}\]"):
+            scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
+    ckpt.write_text("2000\n", encoding="ascii")  # the earlier bare format
+    with pytest.raises(ValueError, match=r"holds 2000; this scan is any on \[9, 3000\]"):
+        scan_to_csv(9, 3000, str(out), checkpoint_path=str(ckpt))
+    assert _digest(out) == before
+
+
+def _emitted(chunk):
+    return "".join(line for rows in scan._csv_slices(chunk) for line in rows)
+
+
+def _formatted(chunk):
+    return "".join(format_record(rec) + "\n" for rec in scan._materialize(chunk))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.integers(9, 200000),
+    width=st.integers(0, 3000),
+    mode=st.sampled_from(scan.MODES),
+    size=st.sampled_from([1, 7, 4096]),
+)
+def test_chunk_emitter_matches_format_record(a, width, mode, size):
+    b = min(a + width, 200000)
+    (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scan, "_SLICE", size)
+        assert _emitted(chunk) == _formatted(chunk)
+
+
+def test_chunk_emitter_covers_every_stage():
+    texts = []
+    for a, b, mode in ((31000, 32000, "any"), (46000, 47000, "any"), (9, 5000, "with-two")):
+        (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
+        texts.append(_emitted(chunk))
+        assert texts[-1] == _formatted(chunk)
+    lines = "".join(texts).splitlines()
+    assert {line.split(",")[1] for line in lines} == set(scan.STAGES)
+    for row in ("31416,other_divisor,2,7853,,", "46800,other_divisor,2,149,,", "15,fail,,,,"):
+        assert row in lines
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("any", "50d8741fb3c4f019f8352f6af13ff9f8b07b92c32f438b29c40983adeceafbe1"),
+        ("with-two", "ca282e6ca25442eb8f15354c4ad1802e56431a6187b336584b32be3e2dd239b5"),
+    ],
+)
+def test_scan_to_csv_bytes_are_pinned(tmp_path, mode, digest):
+    out = tmp_path / "rows.csv"
+    scan_to_csv(9, 200000, str(out), mode=mode)
+    assert _digest(out) == digest
 
 
 def test_scan_to_csv_validation(tmp_path):
