@@ -28,6 +28,7 @@ from .permgroup import (
 from .scan import (
     CSV_HEADER,
     STAGES,
+    _check_scan,
     _write_csv,
     failure_histogram,
     prime_gap_stats,
@@ -94,6 +95,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(summary.to_json())
         counts = summary.counts
     elif args.format == "csv":
+        # _write_csv checks only once iterated, after the header
+        _check_scan(args.lo, args.hi, mode)
         print(CSV_HEADER)
         chunks = _write_csv(sys.stdout, args.lo, args.hi, mode, args.workers)
         counts = dict(zip(STAGES, sum(chunk.counts for chunk in chunks)))

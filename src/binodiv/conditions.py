@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 OBSTRUCTION_CAP = 1 << 20
-# _condition2_many: members per digit loop, and the least members tried
+# _condition1_many: members per digit loop, and the least members tried
 # before a whole obstruction set
 _BATCH = 1 << 14
 _PREFIX = 256
@@ -207,16 +207,24 @@ def _exists_doubly_carry_free(n: int, p: int, r: int) -> bool:
     return False
 
 
-def _condition2_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """condition2_direct over the triples (ns[i], ps[i], rs[i]); no n may be
-    a prime power.
+def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """_condition1 over the triples (ns[i], ps[i], rs[i]), none with n a
+    prime power, which makes each verdict condition2_direct's.
 
-    Condition (1) tests, like _condition1, the smaller of the base-p and
-    base-r obstruction sets in the other base, in digit loops over the
-    concatenated sets of many triples: first their _PREFIX least members,
-    which refute most failing triples, then the whole sets of the rest.  A
-    set above _BATCH members is decided alone by _condition1.  The triples
-    that pass get the imprimitive and primitive family tests.
+    Lemma: let n >= 9 not be a prime power and primes p != r satisfy
+    Condition (1) (p = r fails both conditions).  k = 1 forces p | n or
+    r | n, so min(p, r) <= n/2 <= n - 3 covers the primitive family.  If
+    neither prime divided an imprimitive index n!/((d!)^m m!), n = dm, then
+    by prime_divides_equipartition either m copies of d add without carry
+    in both bases, so k = d is carry-free in both; or d = p^j, say, and they
+    add without carry in base r, so k = p^v_p(n) = d p^v_p(m) < n is
+    carry-free in base p (one digit, under a nonzero digit of n) and in
+    base r (p^v_p(m) of the m copies of d), contradicting Condition (1).
+
+    Like _condition1 it tests the smaller obstruction set in the other base,
+    in digit loops over the concatenated sets of many triples: first their
+    _PREFIX least members, which refute most failing triples, then the whole
+    sets of the rest; a set above _BATCH members goes alone to _condition1.
     """
     holds = np.ones(ns.size, dtype=bool)
     cp = _dominated_counts(ns, ps)
@@ -228,8 +236,6 @@ def _condition2_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
     for i in np.flatnonzero(holds & (size > _BATCH)).tolist():
         holds[i] = _condition1(int(ns[i]), int(ps[i]), int(rs[i]))
     _refute_condition1(ns, a, b, np.flatnonzero(holds & (size > _PREFIX) & (size <= _BATCH)), holds)
-    for i in np.flatnonzero(holds).tolist():
-        holds[i] = _transitive_covered(int(ns[i]), int(ps[i]), int(rs[i]))
     return holds
 
 
@@ -285,7 +291,7 @@ def condition2_direct(n: int, p: int, r: int) -> bool:
     """
     if n < 9:
         raise ValueError("condition2_direct requires n >= 9")
-    _check_prime(p)
+    _check_n_prime(n, p)
     _check_prime(r)
     pp = is_prime_power(n)
     if pp is not None and pp.prime in (p, r):
@@ -332,7 +338,7 @@ def _witness(n: int, p: int, r: int) -> tuple[ConditionWitness, bool | None]:
     Condition (2) settled it (None elsewhere)."""
     if n < 1:
         raise ValueError("condition2_holds requires n >= 1")
-    _check_prime(p)
+    _check_n_prime(n, p)
     _check_prime(r)
     if n <= 8:
         holds = all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n])
@@ -368,4 +374,6 @@ def _check_prime(p: int) -> None:
 def _check_n_prime(n: int, p: int) -> None:
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n >= 1 << 63:
+        raise ValueError(f"n must be below 2**63, the int64 limit of the digit kernels, got {n}")
     _check_prime(p)

@@ -195,13 +195,11 @@ class StabilizerChain:
         self._gens: list[list[Permutation]] = []
         self._trans: list[dict[int, Permutation]] = []
         self._processed: list[set[tuple[int, ...]]] = []
-        ident = Permutation.identity(degree)
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch")
             if not g.is_identity():
                 self._add(g, 0)
-        self._identity = ident
 
     def order(self) -> int:
         out = 1

@@ -44,7 +44,7 @@ from .arith import (
 )
 from .conditions import (
     _BATCH,
-    _condition2_many,
+    _condition1_many,
     _dominated_mask,
     _members,
     condition2_direct,
@@ -169,14 +169,14 @@ def _check_scan_n(n: int) -> None:
         raise ValueError(f"need n >= 9, got {n}")
 
 
-def _check_range(lo: int, hi: int) -> None:
+def _check_scan(lo: int, hi: int, mode: str) -> int:
+    """Refuse a bad range or mode, or hi above MAX_N, before any table is
+    built or any output written; returns the table cap for hi."""
     if lo < 9 or hi < lo:
         raise ValueError(f"need 9 <= lo <= hi, got [{lo}, {hi}]")
-
-
-def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return _round_cap(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +276,15 @@ def _filter_members(n: int, p: int) -> np.ndarray:
 
 def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
-    ps[i], r), or 0 where there is none; no n may be a prime power, and
-    the prime table must reach every n.
+    ps[i], r), or 0 where there is none; no n may be a prime power, so
+    Condition (1) decides each pair (see _condition1_many), and the prime
+    table must reach every n.
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r).  The candidates are
     every prime below _SMALL_BOUND, then, for the pairs still unresolved,
     the larger ones from _big_candidates.  Candidates with a leading member
-    carry-free in their base are dropped, all at once, and _search_rounds
+    carry-free in their base are dropped, all at once, and _least_verified
     decides the rest.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
@@ -299,12 +300,12 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
             kept.append(_filtered(lead, n, owner + b, small[col]))
         owner = np.concatenate([o for o, _ in kept])
         qs = np.concatenate([q for _, q in kept])
-        _search_rounds(n, p, owner, qs, found[g])
+        _least_verified(n, p, owner, qs, found[g])
         todo = np.flatnonzero(found[g] == 0)
         cands = [_big_candidates(int(n[i]), int(lead[i, 0]), primes) for i in todo]
         owner = np.repeat(todo, [len(c) for c in cands])
         qs = np.array([q for c in cands for q in c], dtype=np.int64)
-        _search_rounds(n, p, *_filtered(lead, n, owner, qs), found[g])
+        _least_verified(n, p, *_filtered(lead, n, owner, qs), found[g])
     return found
 
 
@@ -331,24 +332,20 @@ def _filtered(lead: np.ndarray, ns: np.ndarray, owner: np.ndarray, qs: np.ndarra
     return owner[keep], qs[keep]
 
 
-def _search_rounds(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
+def _least_verified(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
     """Set found[i] to the least verified candidate qs[j] with owner[j] = i,
-    for every i with found[i] == 0 and such a candidate.
-
-    owner is ascending, and qs ascending within each owner.  Round t
-    decides the t-th candidate of every pair still unresolved in one
-    _condition2_many call, so each pair stops at its least verified one.
+    for every i with found[i] == 0 and such a candidate; owner is ascending,
+    and qs ascending within each owner.  One _condition1_many call decides
+    each pair's least candidate, which settles most pairs that have a
+    partner, and a second all other candidates of the pairs still open.
     """
-    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-    t = 0
-    while True:
-        at = np.flatnonzero((rank == t) & (found[owner] == 0))
-        if not at.size:
-            return
-        i = owner[at]
-        hit = _condition2_many(ns[i], ps[i], qs[at])
-        found[i[hit]] = qs[at][hit]
-        t += 1
+    least = np.diff(owner, prepend=-1) != 0
+    for tier in (least, ~least):
+        at = np.flatnonzero(tier & (found[owner] == 0))
+        hit = at[_condition1_many(ns[owner[at]], ps[owner[at]], qs[at])]
+        # the first hit of each owner holds its least verified candidate
+        i, first = np.unique(owner[hit], return_index=True)
+        found[i] = qs[hit[first]]
 
 
 def direct_search(n: int, p: int) -> int | None:
@@ -359,7 +356,7 @@ def direct_search(n: int, p: int) -> int | None:
     otherwise k = 1 forces r | n, so q is the only possible partner.
     """
     _check_scan_n(n)
-    _round_cap(n)
+    cap = _round_cap(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     pp = is_prime_power(n)
@@ -369,8 +366,7 @@ def direct_search(n: int, p: int) -> int | None:
         if pp.prime < n and condition2_direct(n, p, pp.prime):
             return pp.prime
         return None
-    ctx = _context(_round_cap(n))
-    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64), ctx.primes)[0])
+    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64), _context(cap).primes)[0])
     return r or None
 
 
@@ -455,25 +451,23 @@ def _pow_below(ns: np.ndarray, prime: int) -> np.ndarray:
 def _classify_residual(ctx: _ScanContext, ns: np.ndarray, base: np.ndarray, pinned: int | None):
     """Stage codes and witness primes for residual n (none a prime power).
 
-    Searches a partner for each n's base prime, then, when no prime is
-    pinned, for each other prime divisor in ascending order, every round
-    batched over the n still unresolved.
+    Searches a partner for each n's base prime; then, when no prime is
+    pinned, one more search covers every other prime divisor of the n
+    still open, and each n keeps the least divisor that has a partner.
     """
     wr = _partner_search(ns, base, ctx.primes)
     wp = np.where(wr > 0, base, 0)
     stage = np.where(wr > 0, _DIRECT, _FAIL).astype(np.uint8)
     if pinned is None:
-        todo = {
-            int(i): [q for q in factorize(int(ns[i])).primes() if q != base[i]]
-            for i in np.flatnonzero(wr == 0)
-        }
-        while todo:
-            i = np.fromiter(todo, dtype=np.int64)
-            q = np.array([qs.pop(0) for qs in todo.values()], dtype=np.int64)
-            r = _partner_search(ns[i], q, ctx.primes)
-            hit = r > 0
-            stage[i[hit]], wp[i[hit]], wr[i[hit]] = _OTHER, q[hit], r[hit]
-            todo = {j: qs for j, qs in todo.items() if qs and wr[j] == 0}
+        still_open = np.flatnonzero(wr == 0).tolist()
+        pairs = [(i, q) for i in still_open for q in factorize(int(ns[i])).primes() if q != base[i]]
+        i, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        r = _partner_search(ns[i], q, ctx.primes)
+        hit = r > 0
+        # i is ascending and q ascending within each i, so an n's first hit
+        # is its least divisor with a partner
+        at, first = np.unique(i[hit], return_index=True)
+        stage[at], wp[at], wr[at] = _OTHER, q[hit][first], r[hit][first]
     return stage, wp, wr
 
 
@@ -542,9 +536,7 @@ def _run_chunks(
     workers: int | None,
     keep: bool,
 ) -> Iterator[_ChunkResult]:
-    _check_range(lo, hi)
-    _check_mode(mode)
-    cap = _round_cap(hi)
+    cap = _check_scan(lo, hi, mode)
     _context(cap)  # build before any fork so workers inherit the tables
     bounds = _chunk_bounds(lo, hi)
     if workers is None:
@@ -764,13 +756,14 @@ def _read_checkpoint(path: str, run: dict) -> int | None:
 
 
 def _resume_rows(path: str, lo: int, last_n: int) -> tuple[int, dict[str, int], list[ScanRecord]] | None:
-    """Drop CSV rows with n > last_n and everything from the first partial
-    or malformed line on.
+    """Keep the rows n = lo, lo + 1, ... up to last_n; drop everything from
+    the first partial, malformed or out-of-sequence line on (a missing or a
+    repeated row ends the kept rows).
 
     Returns the n of the last row kept (lo - 1 when none is), and the stage
-    counts and the exceptional records of the rows kept with n >= lo; or
-    None when the file does not start with the expected header, in which
-    case the caller should write a fresh file.
+    counts and the exceptional records of the rows kept; or None when the
+    file does not start with the expected header, in which case the caller
+    should write a fresh file.
     """
     header = CSV_HEADER.encode("ascii")
     try:
@@ -792,12 +785,11 @@ def _resume_rows(path: str, lo: int, last_n: int) -> tuple[int, dict[str, int], 
                 n_txt, stage_txt, _ = line.split(b",", 2)
                 n = int(n_txt)
                 stage = stage_txt.decode("ascii")
-                if n > last_n or stage not in counts:
+                if n != last + 1 or n > last_n or stage not in counts:
                     break
-                if n >= lo:
-                    counts[stage] += 1
-                    if stage in ("other_divisor", "fail"):
-                        exceptions.append(parse_record(line.decode("ascii")))
+                if stage in ("other_divisor", "fail"):
+                    exceptions.append(parse_record(line.decode("ascii")))
+                counts[stage] += 1
             except ValueError:
                 break
             offset += len(line)
@@ -831,9 +823,7 @@ def scan_to_csv(
     summary covers all of [lo, hi], rows kept from earlier runs included;
     its elapsed_seconds is this call's scanning time.
     """
-    _check_range(lo, hi)
-    _check_mode(mode)
-    _round_cap(hi)
+    _check_scan(lo, hi, mode)
     run = {"mode": mode, "lo": lo, "hi": hi}
     start = lo
     open_mode = "w"

@@ -191,6 +191,23 @@ def test_scan_reversed_range_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("lo, hi", [(30, 9), (9, 2 * 10**8)])
+def test_scan_csv_refusal_prints_nothing(capsys, lo, hi):
+    # the header once reached stdout before the range was checked
+    assert main(["scan", str(lo), str(hi), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_check_refuses_n_beyond_int64(capsys):
+    # this n once died in an OverflowError, exit 1 ("condition fails")
+    assert main(["check", "9223372036854775837", "2", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int64" in captured.err
+
+
 def test_hist_stdout(capsys):
     code = main(["hist", "1000", "128"])
     captured = capsys.readouterr()

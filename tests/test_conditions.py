@@ -225,3 +225,16 @@ def test_witness_for_routes():
 def test_witness_fields():
     w = witness_for(12, 2, 3)
     assert (w.n, w.condition, w.p, w.r) == (12, "condition2", 2, 3)
+
+
+def test_n_beyond_int64_is_refused():
+    # the digit kernels are int64: this n once died in an OverflowError
+    big = 9223372036854775837
+    for call in (condition1_holds, condition2_direct, condition2_holds, witness_for):
+        with pytest.raises(ValueError, match="int64"):
+            call(big, 2, 3)
+    with pytest.raises(ValueError, match="int64"):
+        obstructions(1 << 63, 2)
+    n = (1 << 63) - 25  # the largest prime below the limit
+    assert not condition1_holds(n, 2, 3)
+    assert not condition2_direct(n, 2, 3)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from binodiv import conditions, scan
 from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
-from binodiv.conditions import _dominated_mask, condition2_direct
-from binodiv.scan import direct_search, iter_scan, scan_one, scan_range
+from binodiv.conditions import _condition1_many, _dominated_counts, _dominated_mask, condition2_direct
+from binodiv.scan import ScanRecord, direct_search, iter_scan, scan_one, scan_range
 
 
 def least_partner(n, p):
@@ -86,6 +86,78 @@ def test_pinned_witnesses():
     assert direct_search(195624, 2) == 3
     assert direct_search(5504490, 2) is None
     assert direct_search(5504490, 3) == 5
+
+
+def test_other_divisors_are_searched_in_one_call(monkeypatch):
+    calls = []
+    real = scan._partner_search
+
+    def counted(ns, ps, primes):
+        calls.append(ps.tolist())
+        return real(ns, ps, primes)
+
+    monkeypatch.setattr(scan, "_partner_search", counted)
+    # the first other divisor, 2, has no partner; the next, 3, has 5
+    assert scan_one(5504490) == ScanRecord(5504490, "other_divisor", (3, 5))
+    assert len(calls) == 2
+    assert 2 in calls[1] and 3 in calls[1]
+
+
+def test_least_verified_makes_at_most_two_verifier_calls(monkeypatch):
+    calls = []
+    real = scan._condition1_many
+
+    def counted(ns, ps, rs):
+        calls.append(rs.size)
+        return real(ns, ps, rs)
+
+    monkeypatch.setattr(scan, "_condition1_many", counted)
+    ns = np.array([46800, 31416, 15], dtype=np.int64)
+    owner = np.repeat(np.arange(3), 168)
+    qs = np.tile(primes_upto(1000), 3)
+    found = np.zeros(3, dtype=np.int64)
+    scan._least_verified(ns, np.full(3, 2), owner, qs, found)
+    assert len(calls) == 2
+    # 46800 pairs 2 with 149, and neither of the others has a partner below 1000
+    assert found.tolist() == [149, 0, 0]
+
+
+def test_least_verified_without_candidates_leaves_found_alone():
+    found = np.array([0, 7, 0], dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    scan._least_verified(np.array([46800, 12, 15]), np.array([2, 2, 2]), empty, empty, found)
+    assert found.tolist() == [0, 7, 0]
+
+
+_PRIMES = primes_upto(10**5)
+# smaller obstruction sets of 2 to 23,326 members; (98272, 2, 673) fails,
+# but only past the _PREFIX least members of its 2,046
+_ANCHORS = [(30, 5, 29), (31416, 2, 7853), (46800, 2, 149), (9455, 2, 31), (98272, 2, 673), (98303, 2, 3)]
+
+
+@st.composite
+def _triples(draw):
+    n = draw(st.integers(9, 10**5).filter(lambda n: is_prime_power(n) is None))
+    below = _PRIMES[: int(np.searchsorted(_PRIMES, n))]
+    pick = st.integers(0, below.size - 1).map(lambda i: int(below[i]))
+    # a prime divisor of n passes k = 1, the one test every pair must pass
+    p = draw(st.sampled_from(factorize(n).primes()) | pick)
+    return n, p, draw(pick)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    triples=st.lists(_triples(), max_size=40),
+    tiers=st.sampled_from([(conditions._PREFIX, conditions._BATCH), (16, 1024), (2, 32)]),
+)
+def test_condition1_many_matches_the_family_route(triples, tiers):
+    ns, ps, rs = (np.array(col, dtype=np.int64) for col in zip(*(_ANCHORS + triples)))
+    size = np.minimum(_dominated_counts(ns, ps), _dominated_counts(ns, rs)) - 2
+    prefix, batch = tiers
+    assert set(((size > prefix).astype(int) + (size > batch)).tolist()) == {0, 1, 2}
+    want = [condition2_direct(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
+    with mock.patch.multiple(conditions, _PREFIX=prefix, _BATCH=batch):
+        assert _condition1_many(ns, ps, rs).tolist() == want
 
 
 def _naive_dominated(k, n, base):

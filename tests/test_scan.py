@@ -453,6 +453,27 @@ def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path):
     assert sum(summary.counts.values()) == 600 - 9 + 1
 
 
+@pytest.mark.parametrize("edit", ["drop", "repeat", "garble"])
+def test_resume_rescans_from_a_missing_repeated_or_garbled_row(tmp_path, edit):
+    # a resume over a file without one row once reported success with 591
+    # rows and a summary of 591 of the 592 n; a garbled fail row was counted,
+    # then scanned and counted again
+    clean = tmp_path / "clean.csv"
+    whole = scan_to_csv(9, 600, str(clean), mode="with-two")
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "scan.ckpt"
+    scan_to_csv(9, 600, str(out), mode="with-two", checkpoint_path=str(ckpt))
+    lines = out.read_text(encoding="ascii").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines[300:], 300) if line.endswith(",fail,,,,\n"))
+    row = lines[at]
+    lines[at : at + 1] = {"drop": [], "repeat": [row, row], "garble": [row.replace(",,,,", ",")]}[edit]
+    out.write_text("".join(lines), encoding="ascii")
+    summary = scan_to_csv(9, 600, str(out), mode="with-two", checkpoint_path=str(ckpt))
+    assert _digest(out) == _digest(clean)
+    assert summary.counts == whole.counts
+    assert summary.exceptions == whole.exceptions
+
+
 def test_resume_after_completion_is_a_no_op(tmp_path):
     out = tmp_path / "scan.csv"
     ckpt = tmp_path / "scan.ckpt"
