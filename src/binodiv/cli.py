@@ -18,6 +18,7 @@ from .conditions import _witness, condition1_holds
 from .density import density_bound_report, dickman_rho, psi_count
 from .permgroup import (
     CycleType,
+    _reaches_order,
     check_condition4_pair,
     check_condition5,
     find_condition5_failure_witness,
@@ -147,7 +148,7 @@ def _cmd_smallgroups(args: argparse.Namespace) -> int:
     for n, text_c, text_d in _TABLE_ROWS:
         c = parse_cycles(text_c, n)
         d = parse_cycles(text_d, n)
-        pair_generates = group_order([c, d]) == math.factorial(n) // 2
+        pair_generates = _reaches_order([c, d], math.factorial(n) // 2)
         classes_generate = check_condition4_pair(n, c.cycle_type(), d.cycle_type())
         all_ok = all_ok and pair_generates and classes_generate
         rows.append(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, inf, lcm
 
 from .arith import is_prime, is_prime_power
 
@@ -186,20 +186,21 @@ def format_cycles(g: Permutation) -> str:
     return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
 
 
+class _Reached(Exception):
+    """A bounded build's orbit product reached its target order."""
+
+
 class StabilizerChain:
     """Schreier-Sims stabilizer chain; order is the product of orbit sizes."""
 
     def __init__(self, degree: int, generators: list[Permutation]):
         self.degree = degree
         self.base: list[int] = []
-        self._gens: list[list[Permutation]] = []
-        self._trans: list[dict[int, Permutation]] = []
+        self._gens: list[list[tuple[int, ...]]] = []
+        self._trans: list[dict[int, tuple]] = []  # orbit point -> (u, u^-1)
         self._processed: list[set[tuple[int, ...]]] = []
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("degree mismatch")
-            if not g.is_identity():
-                self._add(g, 0)
+        self._target = inf  # _reaches_order lowers it to stop the build early
+        self._extend(generators)
 
     def order(self) -> int:
         out = 1
@@ -208,29 +209,34 @@ class StabilizerChain:
         return out
 
     def contains(self, g: Permutation) -> bool:
-        h, _ = self._strip(g, 0)
-        return h.is_identity()
+        if g.degree != self.degree:
+            raise ValueError("degree mismatch")
+        return self._strip(g.images, 0)[0] == tuple(range(self.degree))
 
-    def _strip(self, g: Permutation, level: int) -> tuple[Permutation, int]:
-        i = level
-        while i < len(self.base):
-            p = g.images[self.base[i]]
-            t = self._trans[i]
-            if p not in t:
+    def _extend(self, generators: list[Permutation]) -> None:
+        for g in generators:
+            if g.degree != self.degree:
+                raise ValueError("degree mismatch")
+            self._add(g.images, 0)
+
+    def _strip(self, g: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
+        for i in range(level, len(self.base)):
+            t = self._trans[i].get(g[self.base[i]])
+            if t is None:
                 return g, i
-            g = g * t[p].inverse()
-            i += 1
-        return g, i
+            g = tuple(map(t[1].__getitem__, g))
+        return g, len(self.base)
 
-    def _add(self, g: Permutation, level: int) -> None:
+    def _add(self, g: tuple[int, ...], level: int) -> None:
         h, j = self._strip(g, level)
-        if h.is_identity():
+        ident = tuple(range(self.degree))
+        if h == ident:
             return
         if j == len(self.base):
-            b = next(p for p in range(self.degree) if h.images[p] != p)
+            b = next(p for p in range(self.degree) if h[p] != p)
             self.base.append(b)
             self._gens.append([])
-            self._trans.append({b: Permutation.identity(self.degree)})
+            self._trans.append({b: (ident, ident)})
             self._processed.append(set())
         # h fixes base[:j], so it belongs to every level up to j
         for i in range(level, j + 1):
@@ -246,21 +252,21 @@ class StabilizerChain:
         queue = list(trans)
         while queue:
             p = queue.pop()
-            u = trans[p]
+            u = trans[p][0]
             for s in gens:
-                q = s.images[p]
+                q = s[p]
                 if q not in trans:
-                    trans[q] = u * s
+                    us = tuple(map(s.__getitem__, u))
+                    trans[q] = (us, tuple(sorted(range(len(us)), key=us.__getitem__)))
                     queue.append(q)
-        for p, u in list(trans.items()):
+        if self.order() >= self._target:
+            raise _Reached
+        for p, (u, _) in list(trans.items()):
             for s in gens:
-                v = self._trans[i][s.images[p]]
-                schreier = u * s * v.inverse()
-                key = schreier.images
-                if schreier.is_identity() or key in self._processed[i]:
-                    continue
-                self._processed[i].add(key)
-                self._add(schreier, i + 1)
+                schreier = tuple(map(trans[s[p]][1].__getitem__, map(s.__getitem__, u)))
+                if schreier not in self._processed[i]:
+                    self._processed[i].add(schreier)
+                    self._add(schreier, i + 1)
 
 
 def group_order(generators: list[Permutation]) -> int:
@@ -268,6 +274,22 @@ def group_order(generators: list[Permutation]) -> int:
     if not generators:
         return 1
     return StabilizerChain(generators[0].degree, list(generators)).order()
+
+
+def _reaches_order(generators: list[Permutation], target: int) -> bool:
+    """Whether the generators produce a group of order at least target.
+
+    Each orbit is one of a subgroup of the true point stabilizer, so the
+    orbit product bounds the order below; the build stops once it reaches
+    target. Even generators of degree n reach n!/2 iff they generate A_n.
+    """
+    chain = StabilizerChain(generators[0].degree, [])
+    chain._target = target
+    try:
+        chain._extend(generators)
+    except _Reached:
+        return True
+    return False
 
 
 def _orbit_count(degree: int, gens: list[Permutation]) -> int:
@@ -389,7 +411,9 @@ def check_condition4_pair(
     """
     if not 5 <= n <= 8:
         raise ValueError("pair checks cover 5 <= n <= 8")
-    for ct in (ctC, ctD):
+    for ct, half in ((ctC, splitC), (ctD, splitD)):
+        if half not in (0, 1):
+            raise ValueError("half must be 0 or 1")
         if ct.degree != n:
             raise ValueError("degree mismatch")
         if not ct.is_even():
@@ -398,11 +422,9 @@ def check_condition4_pair(
         if is_prime_power(order) is None:
             raise ValueError(f"element order {order} is not a prime power")
     target = factorial(n) // 2
-    c = _class_rep(n, ctC, splitC if ctC.splits() else None)
+    c = _class_rep(n, ctC, splitC)
     for d in class_members(n, ctD, splitD):
-        if _orbit_count(n, [c, d]) > 1:
-            return False
-        if group_order([c, d]) != target:
+        if _orbit_count(n, [c, d]) > 1 or not _reaches_order([c, d], target):
             return False
     return True
 

@@ -4,10 +4,12 @@ from math import factorial
 
 import pytest
 
+from binodiv import permgroup
 from binodiv.permgroup import (
     CycleType,
     Permutation,
     StabilizerChain,
+    _reaches_order,
     check_condition4_pair,
     check_condition5,
     class_members,
@@ -25,6 +27,11 @@ def _random_perm(rng, degree):
     img = list(range(degree))
     rng.shuffle(img)
     return Permutation(tuple(img))
+
+
+def _random_even_perm(rng, degree):
+    g = _random_perm(rng, degree)
+    return g if g.is_even() else g * parse_cycles("(1 2)", degree)
 
 
 def _partitions(n, most=None):
@@ -144,6 +151,13 @@ def test_group_order_matches_naive_closure():
         deg = rng.randrange(2, 8)
         gens = [_random_perm(rng, deg) for _ in range(rng.randrange(1, 4))]
         assert group_order(gens) == naive_closure_order(gens)
+    # degree 8 with even generators, so the closure stays inside A_8 and
+    # within the oracle's cap; a fixed point or a 3-cycle gives proper subgroups
+    special = [parse_cycles("(1 2 3)", 8), parse_cycles("(1 2)(3 4)", 8), parse_cycles("(1 2 3 4 5 6 7)", 8)]
+    for _ in range(12):
+        gens = [_random_even_perm(rng, 8)] if rng.random() < 0.5 else []
+        gens += rng.sample(special, rng.randrange(1, 3))
+        assert group_order(gens) == naive_closure_order(gens)
 
 
 def test_stabilizer_chain_membership():
@@ -157,6 +171,58 @@ def test_stabilizer_chain_membership():
     d5 = StabilizerChain(5, [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(2 5)(3 4)", 5)])
     assert d5.order() == 10
     assert not d5.contains(parse_cycles("(1 2 3)", 5))
+    for ch in (StabilizerChain(5, []), chain):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            ch.contains(Permutation.identity(4))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            ch.contains(parse_cycles("(1 2 3)", 6))
+
+
+PROPER_SUBGROUPS = [
+    # D_5 inside A_5
+    (5, ["(1 2 3 4 5)", "(2 5)(3 4)"], 10),
+    # the degree-8 Condition (5) witness: PSL(2, 7) on the projective line
+    (8, ["(1 2)(3 4)(5 6)(7 8)", "(2 3 5 4 7 6 8)"], 168),
+    # point stabilizers: A_7 and A_4 fixing the last points
+    (8, ["(1 2 3)", "(1 2 3 4 5 6 7)"], 2520),
+    (6, ["(1 2 3)", "(2 3 4)"], 12),
+]
+
+
+@pytest.mark.parametrize("n, texts, order", PROPER_SUBGROUPS)
+def test_bounded_build_never_stops_in_a_proper_subgroup(n, texts, order):
+    gens = [parse_cycles(t, n) for t in texts]
+    assert group_order(gens) == order
+    # a build bounded by n!/2 runs to the full chain and its full order
+    chain = StabilizerChain(n, [])
+    chain._target = factorial(n) // 2
+    chain._extend(gens)
+    assert chain.order() == order
+    assert not _reaches_order(gens, factorial(n) // 2)
+    assert not _reaches_order(gens, order + 1)
+    assert _reaches_order(gens, order)
+
+
+def test_bounded_test_agrees_with_group_order_on_condition5_sweeps(monkeypatch):
+    swept = []
+
+    def spy(gens, target):
+        swept.append((list(gens), target))
+        return _reaches_order(gens, target)
+
+    monkeypatch.setattr(permgroup, "_reaches_order", spy)
+    assert check_condition5(6) is None
+    assert check_condition5(8) is None
+    orders = set()
+    for gens, target in swept:
+        n = gens[0].degree
+        assert target == factorial(n) // 2
+        order = group_order(gens)
+        orders.add(order)
+        assert _reaches_order(gens, target) == (order == target)
+        if order != target:
+            assert _reaches_order(gens, order) and not _reaches_order(gens, order + 1)
+    assert {360, 20160, 168} <= orders
 
 
 def test_class_members_counts_and_halves():
@@ -236,6 +302,12 @@ def test_condition4_validation():
         check_condition4_pair(6, CycleType(6, (3, 2, 1)), CycleType(6, (5, 1)))
     with pytest.raises(ValueError):
         check_condition4_pair(6, CycleType(5, (5,)), CycleType(6, (5, 1)))
+    five = CycleType(5, (5,))
+    for half in (2, -1):
+        with pytest.raises(ValueError, match="half must be 0 or 1"):
+            check_condition4_pair(5, five, five, splitC=half)
+        with pytest.raises(ValueError, match="half must be 0 or 1"):
+            check_condition4_pair(5, five, five, splitD=half)
 
 
 def test_condition5_verdicts():
