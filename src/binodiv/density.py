@@ -102,7 +102,8 @@ def psi_count(x: int, y: float) -> PsiCount:
     if not 1 <= x <= PSI_X_CAP:
         raise ValueError(f"x = {x} outside [1, {PSI_X_CAP}]")
     lpf = _largest_prime_factors(_round_cap(x))
-    count = int(np.count_nonzero(lpf[1 : x + 1] <= y))
+    # 1 has no prime factor, so it counts for every y
+    count = 1 + int(np.count_nonzero(lpf[2 : x + 1] <= y))
     return PsiCount(x, float(y), count)
 
 

@@ -292,84 +292,43 @@ def _reaches_order(generators: list[Permutation], target: int) -> bool:
     return False
 
 
-def _orbit_count(degree: int, gens: list[Permutation]) -> int:
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i, j in enumerate(g.images):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(degree)})
-
-
-def _transporter_parity(src: Permutation, dst: Permutation) -> int:
-    """Parity of a permutation conjugating src to dst (same cycle type).
-
-    Well defined modulo the centralizer; unambiguous exactly when the
-    class splits, which is the only case callers rely on.
-    """
-    key = lambda c: (-len(c), c[0])
-    pairs = zip(sorted(src.cycles(), key=key), sorted(dst.cycles(), key=key))
-    img = [-1] * src.degree
-    for cs, cd in pairs:
-        for a, b in zip(cs, cd):
-            img[a] = b
-    # fixed points of src map onto fixed points of dst in point order
-    free = sorted(set(range(src.degree)) - set(b for b in img if b >= 0))
-    for a in (i for i, v in enumerate(img) if v < 0):
-        img[a] = free.pop(0)
-    tau = Permutation(tuple(img))
-    return sum(len(c) - 1 for c in tau.cycles()) % 2
-
-
-def _members_raw(points: tuple[int, ...], parts: tuple[int, ...], degree: int):
+def _members_raw(pts: tuple[int, ...], parts: tuple[int, ...], img: list[int]):
     """All permutations of the given type on the given points.
 
-    The least remaining point always leads its cycle, so each permutation
-    appears exactly once.
+    img holds the images fixed so far.  The least remaining point always
+    leads its cycle, so each permutation appears exactly once.
     """
-    if not parts or all(l == 1 for l in parts):
-        yield Permutation(tuple(range(degree)))
+    if not pts:
+        yield Permutation(tuple(img))
         return
-
-    def rec(pts: tuple[int, ...], remaining: tuple[int, ...], img: list[int]):
-        if not pts:
-            yield Permutation(tuple(img))
-            return
-        lead = pts[0]
-        rest = pts[1:]
-        for l in sorted(set(remaining)):
-            idx = remaining.index(l)
-            sub = remaining[:idx] + remaining[idx + 1 :]
-            if l == 1:
-                # lead is a fixed point; only do this once per level
-                yield from rec(rest, sub, img)
-                continue
-            for companions in itertools.permutations(rest, l - 1):
-                cyc = (lead, *companions)
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    img[a] = b
-                left = tuple(p for p in rest if p not in companions)
-                yield from rec(left, sub, img)
-                for a in cyc:
-                    img[a] = a
-
-    yield from rec(points, parts, list(range(degree)))
+    lead = pts[0]
+    rest = pts[1:]
+    for l in sorted(set(parts)):
+        idx = parts.index(l)
+        sub = parts[:idx] + parts[idx + 1 :]
+        if l == 1:
+            # lead is a fixed point; only do this once per level
+            yield from _members_raw(rest, sub, img)
+            continue
+        for companions in itertools.permutations(rest, l - 1):
+            cyc = (lead, *companions)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                img[a] = b
+            left = tuple(p for p in rest if p not in companions)
+            yield from _members_raw(left, sub, img)
+            for a in cyc:
+                img[a] = a
 
 
 def class_members(n: int, ct: CycleType, half: int | None = None):
     """Stream the S_n conjugacy class of an even cycle type.
 
-    When the class splits in A_n, half 0 or 1 restricts to one A_n-class
-    (0 is the class of the consecutive-points representative); when it
-    does not split, half is ignored and the whole class streams.
+    When the class splits in A_n, half 0 or 1 restricts to one A_n-class.
+    A member's half is the parity of the sequence of its cycles, longest
+    first and each from its least point, then its fixed point if any: the
+    parity of a permutation carrying the consecutive-points representative
+    (half 0) to it.  When the class does not split, 0 and 1 are accepted
+    and ignored, and the whole class streams.
     """
     if n > 12:
         raise ValueError("class_members capped at degree 12")
@@ -377,24 +336,16 @@ def class_members(n: int, ct: CycleType, half: int | None = None):
         raise ValueError("degree mismatch")
     if not ct.is_even():
         raise ValueError(f"cycle type {ct.parts} is odd")
-    pick = half if ct.splits() else None
-    if pick is not None and pick not in (0, 1):
+    if half not in (None, 0, 1):
         raise ValueError("half must be 0 or 1")
-    rep = ct.representative()
-    for g in _members_raw(tuple(range(n)), ct.parts, n):
-        if pick is not None and _transporter_parity(rep, g) != pick:
-            continue
+    pick = half if ct.splits() else None
+    for g in _members_raw(tuple(range(n)), ct.parts, list(range(n))):
+        if pick is not None:
+            seq = [p for c in sorted(g.cycles(), key=len, reverse=True) for p in c]
+            seq += [p for p in range(n) if g.images[p] == p]
+            if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 != pick:
+                continue
         yield g
-
-
-def _class_rep(n: int, ct: CycleType, half: int | None) -> Permutation:
-    rep = ct.representative()
-    if half == 1 and ct.splits():
-        # conjugating by any transposition lands in the other A_n-class
-        t = list(range(n))
-        t[n - 2], t[n - 1] = t[n - 1], t[n - 2]
-        return Permutation(tuple(t[rep.images[t[x]]] for x in range(n)))
-    return rep
 
 
 def check_condition4_pair(
@@ -406,8 +357,8 @@ def check_condition4_pair(
 ) -> bool:
     """Whether every (c, d) in class C x class D generates A_n.
 
-    Fixes one representative of C and sweeps all of D: any pair is
-    simultaneously conjugate to one of these, since C is a single class.
+    Fixes the first member c of C and sweeps all of D: any pair is
+    simultaneously conjugate to one (c, d), since C is a single class.
     """
     if not 5 <= n <= 8:
         raise ValueError("pair checks cover 5 <= n <= 8")
@@ -422,11 +373,8 @@ def check_condition4_pair(
         if is_prime_power(order) is None:
             raise ValueError(f"element order {order} is not a prime power")
     target = factorial(n) // 2
-    c = _class_rep(n, ctC, splitC)
-    for d in class_members(n, ctD, splitD):
-        if _orbit_count(n, [c, d]) > 1 or not _reaches_order([c, d], target):
-            return False
-    return True
+    c = next(class_members(n, ctC, splitC))
+    return all(_reaches_order([c, d], target) for d in class_members(n, ctD, splitD))
 
 
 def _prime_order_classes(n: int) -> list[tuple[CycleType, int | None]]:
@@ -491,9 +439,10 @@ def find_condition5_failure_witness(
     if ctD.degree != 8 or not ctD.is_even():
         raise ValueError("ctD must be an even type of degree 8")
     c = ctC.representative()
-    for d in _members_raw(tuple(range(8)), ctD.parts, 8):
-        if _orbit_count(8, [c, d]) > 1:
-            return c, d
-        if group_order([c, d]) == 168:
+    for d in class_members(8, ctD):
+        chain = StabilizerChain(8, [c, d])
+        # c moves point 0, so 0 is the first base point and the first
+        # basic orbit is the orbit of 0 under <c, d>
+        if len(chain._trans[0]) < 8 or chain.order() == 168:
             return c, d
     return None

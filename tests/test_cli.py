@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from binodiv.scan import MAX_N, scan_to_csv
 from resume import checkpoint_last, last_row_n, stop_at_slice
 
 REPO = Path(__file__).resolve().parents[1]
+SMALLGROUPS_SHA256 = "d5293c65d0c13f2bcdf69d2574323b6cd0fba638547f0ee07a29acc09725ac20"
 
 
 def test_check_holding_pair(capsys):
@@ -267,6 +269,13 @@ def test_psi_without_comparison_keys(capsys):
     assert "u" not in body and "rho_u" not in body
 
 
+def test_psi_counts_one_below_every_prime(capsys):
+    code = main(["psi", "100", "-1"])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert body["count"] == 1 and body["y"] == -1
+
+
 def test_gaps(capsys):
     code = main(["gaps", "100"])
     body = json.loads(capsys.readouterr().out)
@@ -278,7 +287,8 @@ def test_gaps(capsys):
 
 def test_smallgroups_full_verification(capsys):
     code = main(["smallgroups"])
-    body = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    body = json.loads(out)
     assert code == 0
     assert body["verdicts_as_expected"] == {"5": True, "6": True, "7": True, "8": True}
     degrees = [row["n"] for row in body["generating_pairs"]]
@@ -292,6 +302,8 @@ def test_smallgroups_full_verification(capsys):
     assert pairs["8"] is None
     witness = body["degree8_failure_witness"]
     assert witness["group_order"] == 168
+    # the whole report, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALLGROUPS_SHA256
 
 
 def _entry_point_spec():

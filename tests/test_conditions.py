@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from binodiv import conditions
 from binodiv.arith import is_prime_power, primes_upto
 from binodiv.conditions import (
     OBSTRUCTION_CAP,
@@ -100,6 +102,41 @@ def test_condition1_specific():
     assert condition1_holds(27, 3, 2)
     with pytest.raises(ValueError):
         condition1_holds(10, 6, 3)
+
+
+def _spy_fallback(monkeypatch):
+    calls = []
+    scan_all = conditions._exists_doubly_carry_free
+
+    def spy(n, p, r):
+        calls.append(n)
+        return scan_all(n, p, r)
+
+    monkeypatch.setattr(conditions, "_exists_doubly_carry_free", spy)
+    monkeypatch.setattr(conditions, "OBSTRUCTION_CAP", 2)
+    return calls
+
+
+def test_condition1_fallback_scan_matches_brute(monkeypatch):
+    # with the cap at 2, almost every (n, p, r) takes the all-k scan
+    calls = _spy_fallback(monkeypatch)
+    for n in range(9, 400):
+        row = [math.comb(n, k) for k in range(1, n)]
+        for p, r in itertools.permutations(SMALL_PRIMES, 2):
+            brute = all(c % p == 0 or c % r == 0 for c in row)
+            assert condition1_holds(n, p, r) == brute, (n, p, r)
+    assert len(calls) > 10_000
+
+
+def test_condition1_fallback_scan_crosses_its_chunk(monkeypatch):
+    # n just above 2^20 puts the last k in a second 2^20-wide chunk
+    ns = range(2**20 + 1, 2**20 + 8)
+    pairs = [(2, 3), (2, 5), (2, 7), (3, 5)]
+    expect = [condition1_holds(n, p, r) for n in ns for p, r in pairs]
+    assert True in expect and False in expect
+    calls = _spy_fallback(monkeypatch)
+    assert [condition1_holds(n, p, r) for n in ns for p, r in pairs] == expect
+    assert len(calls) > len(expect) // 2
 
 
 def test_small_table_verdicts():

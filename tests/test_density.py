@@ -131,6 +131,10 @@ def test_psi_exact_points():
     assert psi_count(10, 2).count == 4  # 1, 2, 4, 8
     assert psi_count(1, 1).count == 1
     assert psi_count(100, 1).count == 1
+    # 1 has no prime factor, so it is y-smooth for every y
+    for y in (-1, -0.5, 0):
+        assert psi_count(100, y).count == 1
+        assert psi_count(1, y).count == 1
     assert psi_count(49, 7).count == _brute_psi(49, 7)
 
 

@@ -213,6 +213,9 @@ def test_bounded_test_agrees_with_group_order_on_condition5_sweeps(monkeypatch):
     monkeypatch.setattr(permgroup, "_reaches_order", spy)
     assert check_condition5(6) is None
     assert check_condition5(8) is None
+    # the sweeps meet order 1,344 before 168; the witness pair has order 168
+    witness = find_condition5_failure_witness(8, CycleType(8, (2, 2, 2, 2)), CycleType(8, (7, 1)))
+    swept.append((list(witness), factorial(8) // 2))
     orders = set()
     for gens, target in swept:
         n = gens[0].degree
@@ -240,6 +243,32 @@ def test_class_members_counts_and_halves():
                 h1 = set(class_members(n, ct, 1))
                 assert len(h0) == len(h1) == ct.class_size() // 2
                 assert not h0 & h1
+
+
+def test_class_members_half_convention():
+    # half 0 holds the consecutive-points representative, half 1 its
+    # conjugate by the transposition (n-1 n)
+    for n in range(3, 10):
+        t = parse_cycles(f"({n - 1} {n})", n)
+        for parts in _partitions(n):
+            ct = CycleType(n, parts)
+            if not ct.splits():
+                continue
+            rep = ct.representative()
+            assert rep in class_members(n, ct, 0), ct
+            assert t * rep * t in class_members(n, ct, 1), ct
+
+
+def test_class_members_refuses_bad_half_for_every_class():
+    for ct in (CycleType(5, (5,)), CycleType(5, (3, 1, 1))):
+        for half in (2, -7):
+            with pytest.raises(ValueError, match="half must be 0 or 1"):
+                next(class_members(5, ct, half))
+    # a class that does not split accepts and ignores 0 and 1
+    ct = CycleType(5, (3, 1, 1))
+    whole = list(class_members(5, ct))
+    assert len(whole) == 20
+    assert list(class_members(5, ct, 0)) == list(class_members(5, ct, 1)) == whole
 
 
 def test_class_members_half_is_closed_under_even_conjugation():
