@@ -32,10 +32,11 @@ __all__ = [
 ]
 
 OBSTRUCTION_CAP = 1 << 20
-# _condition1_many: members per digit loop, and the least members tried
-# before a whole obstruction set
+# _condition1_many: members per tile; first each set's _PREFIX least members
+# (or its share of a tile), where most refutations are, then tiers _GROW times longer
 _BATCH = 1 << 14
-_PREFIX = 256
+_PREFIX = 16
+_GROW = 4
 # _dominated_mask compacts its arrays while more entries than this remain
 _COMPACT = 1024
 
@@ -80,62 +81,90 @@ class ConditionWitness:
     stage: str  # "small_table" | "prime_power_case" | "sieve_pair" | "direct_search"
 
 
-def _dominated_count(n: int, p: int) -> int:
-    """Number of k in [0, n] whose base-p digits are dominated by n's."""
-    return math.prod(d + 1 for d in digits(n, p))
+def _enumerate_p(cp, cr, sp, sr):
+    """Both Condition (1) kernels' rule: enumerate the base-p set (cp members;
+    sp digit steps to test a k in base p) over the base-r set when testing it
+    in base r costs no more, and never one above OBSTRUCTION_CAP while the
+    other is within it.  Either set gives the same verdict."""
+    return (cp * sr <= cr * sp) & (cp <= OBSTRUCTION_CAP) | (cr > OBSTRUCTION_CAP)
 
 
-def _dominated_counts(ns: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """_dominated_count(ns[i], bases[i]) for every i."""
-    out = np.ones(ns.size, dtype=np.int64)
-    m = ns
+def _digit_slots(ns: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radix d + 1 and place value bases[i]**position of each nonzero base
+    digit d of ns[i], lowest first, as (slots, len(ns)) arrays padded with
+    radix 1 and place 0 (so radices multiply to the dominated count), and
+    the number of base digits of each ns[i]."""
+    digs, m = [], ns
     while m.any():
         m, d = divmod(m, bases)
-        out *= d + 1
-    return out
+        digs.append(d)
+    radix = np.array(digs, dtype=np.int64).reshape(len(digs), ns.size) + 1
+    nonzero = radix > 1
+    # bases**position, wrapping harmlessly above a column's top digit
+    place = np.cumprod(np.vstack((np.ones_like(ns), np.broadcast_to(bases, radix.shape)[1:])), axis=0) * nonzero
+    order = np.argsort(~nonzero, axis=0, kind="stable")[: int(nonzero.sum(axis=0).max(initial=0))]
+    ndig = (np.cumsum(nonzero[::-1], axis=0) > 0).sum(axis=0)
+    return np.take_along_axis(radix, order, 0), np.take_along_axis(place, order, 0), ndig
 
 
-def _dominated_values(n: int, p: int, least: int | None = None) -> np.ndarray:
-    """Dominated k in [0, n], ascending, endpoints included.
+def _members(radix: np.ndarray, place: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each slot column i (see _digit_slots), the dominated k numbered
+    lo[i] <= j < hi[i], lo[i] < hi[i], in order of i, then j.
 
-    Built from the lowest digit up: digit c at position i adds c * p**i to
-    every value of the positions below, a block above all of them.  With
-    `least`, the expansion stops once it holds `least` values, which are
-    then the smallest ones.
-    """
+    The j-th is j in the mixed radix of the slots read in place values, so
+    k ascends with j and the obstruction members are 1 <= j <= count - 2.
+    Built top slot first, the prefixes j // below of each level expanding
+    into those in [lo, hi) of the level below, as one cumulative sum."""
+    below = np.cumprod(np.vstack((np.ones_like(lo), radix[:-1])), axis=0)
+    first, last = lo // below, (hi - 1) // below
+    skip, tail = first % radix, radix - 1 - last % radix
+    parents = last // radix - first // radix + 1
+    head = np.cumsum(parents, axis=1) - parents
+    val = np.zeros(lo.size, dtype=np.int64)
+    # higher levels hold only the prefix 0; a prefix's children are
+    # prefix * radix + c, c in [skip, radix - tail) at a column's ends
+    for t in reversed(range(int(last.any(axis=1).sum()))):
+        cnt = np.repeat(radix[t], parents[t])
+        cnt[head[t]] -= skip[t]
+        cnt[head[t] + parents[t] - 1] -= tail[t]
+        val[head[t]] += skip[t] * place[t]
+        after = val + (cnt - 1) * np.repeat(place[t], parents[t])
+        step = np.repeat(place[t], last[t] - first[t] + 1)
+        step[np.cumsum(cnt) - cnt] = val - np.concatenate(([0], after[:-1]))
+        val = np.cumsum(step)
+    return val
+
+
+def _dominated_values(n: int, p: int) -> np.ndarray:
+    """Dominated k in [0, n], ascending: one whole set, a broadcast per digit."""
     vals = np.zeros(1, dtype=np.int64)
-    step = 1
-    for d in digits(n, p):
-        if least is not None and vals.size >= least:
-            break
+    for i, d in enumerate(digits(n, p)):
         if d == 1:
-            vals = np.concatenate((vals, vals + step))
+            vals = np.concatenate((vals, vals + p**i))
         elif d:
-            vals = (np.arange(d + 1, dtype=np.int64)[:, None] * step + vals).ravel()
-        step *= p
-    return vals[:least]
-
-
-def _members(n: int, p: int, least: int | None = None) -> np.ndarray:
-    """The base-p obstruction members of n (dominated k in (0, n)),
-    ascending; with `least`, only the smallest `least`."""
-    if least is None:
-        return _dominated_values(n, p)[1:-1]
-    vals = _dominated_values(n, p, least + 2)[1:]
-    return vals[vals < n][:least]
+            vals = (np.arange(d + 1, dtype=np.int64)[:, None] * p**i + vals).ravel()
+    return vals
 
 
 def _dominated_mask(ks: np.ndarray, n, base) -> np.ndarray:
     """Boolean mask over the int64 array ks: base digits dominated by those
     of n (0 <= ks <= n).
 
-    n and base are integers or arrays like ks.  While many entries are
-    undecided (more than _COMPACT, or 32 times that when n is one integer
-    and each step is cheaper), an entry leaves the digit loop at its first
-    digit above n's, or once its remaining digits are all zero; the rest
-    finish in a plain digit loop.
+    n and base are integers or arrays like ks.  Base 2 is the bit test
+    k & ~n == 0.  Else, while many entries are undecided (more than
+    _COMPACT, or 32 times that when n is one integer and each step is
+    cheaper), an entry leaves the digit loop at its first digit above n's,
+    or once its remaining digits are all zero; the rest finish in a plain
+    digit loop.
     """
     scalar = not isinstance(n, np.ndarray)
+    if not isinstance(base, np.ndarray) and base == 2:
+        return (ks & ~n) == 0
+    if isinstance(base, np.ndarray) and (two := base == 2).any():
+        ok = (ks & ~n) == 0
+        if not two.all():
+            ok[~two] = _dominated_mask(ks[~two], n if scalar else n[~two], base[~two])
+        return ok
     k, m, b = ks, n, base
     ok = np.ones(k.size, dtype=bool)
     fine, live = ok, None
@@ -166,18 +195,15 @@ def _dominated_mask(ks: np.ndarray, n, base) -> np.ndarray:
 def obstructions(n: int, p: int, cap: int = OBSTRUCTION_CAP) -> ObstructionSet:
     """Carry-free k for (n, p): the k in (0, n) with p not dividing C(n, k)."""
     _check_n_prime(n, p)
-    count = _dominated_count(n, p) - 2
-    if count > cap:
-        return ObstructionSet(n, p, count, None)
-    return ObstructionSet(n, p, count, _members(n, p))
+    count = math.prod(d + 1 for d in digits(n, p)) - 2
+    return ObstructionSet(n, p, count, None if count > cap else _dominated_values(n, p)[1:-1])
 
 
 def condition1_holds(n: int, p: int, r: int) -> bool:
     """Whether p or r divides every C(n, k) with 0 < k < n.
 
-    Enumerates whichever carry-free set is smaller and tests its members
-    for a carry in the other base; if both sets are enormous, falls back to
-    a chunked sweep over all k.
+    Tests the members of the carry-free set _enumerate_p picks for a carry
+    in the other base; if both sets are enormous, sweeps all k in chunks.
     """
     _check_n_prime(n, p)
     _check_prime(r)
@@ -185,15 +211,12 @@ def condition1_holds(n: int, p: int, r: int) -> bool:
 
 
 def _condition1(n: int, p: int, r: int) -> bool:
-    cp = _dominated_count(n, p) - 2
-    cr = _dominated_count(n, r) - 2
-    if cp <= 0 or cr <= 0:
-        return True
+    dp, dr = digits(n, p), digits(n, r)
+    cp, cr = (math.prod(d + 1 for d in ds) - 2 for ds in (dp, dr))
     if min(cp, cr) > OBSTRUCTION_CAP:
         return not _exists_doubly_carry_free(n, p, r)
-    a, b = (p, r) if cp <= cr else (r, p)
-    members = _members(n, a)
-    return not _dominated_mask(members, n, b).any()
+    a, b = (p, r) if _enumerate_p(cp, cr, 1 if p == 2 else len(dp), 1 if r == 2 else len(dr)) else (r, p)
+    return not _dominated_mask(_dominated_values(n, a)[1:-1], n, b).any()
 
 
 def _exists_doubly_carry_free(n: int, p: int, r: int) -> bool:
@@ -221,51 +244,31 @@ def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
     carry-free in base p (one digit, under a nonzero digit of n) and in
     base r (p^v_p(m) of the m copies of d), contradicting Condition (1).
 
-    Like _condition1 it tests the smaller obstruction set in the other base,
-    in digit loops over the concatenated sets of many triples: first their
-    _PREFIX least members, which refute most failing triples, then the whole
-    sets of the rest; a set above _BATCH members goes alone to _condition1.
+    Each triple tests the members of the set _enumerate_p picks in the
+    other base in tiers, slices of one numbering (_members): its _PREFIX
+    least (more when few triples share a tile), then slices _GROW times
+    longer, at most _BATCH, while it holds.  A triple with both sets above
+    OBSTRUCTION_CAP goes to _condition1.
     """
+    radix, place, ndig = _digit_slots(np.concatenate((ns, ns)), bases := np.concatenate((ps, rs)))
+    (cp, cr), (sp, sr) = np.split(radix.prod(axis=0) - 2, 2), np.split(np.where(bases == 2, 1, ndig), 2)
+    first = _enumerate_p(cp, cr, sp, sr)
+    col = np.arange(ns.size) + np.where(first, 0, ns.size)  # the picked set's slot columns
+    radix, place, b, size = radix[:, col], place[:, col], np.where(first, rs, ps), np.where(first, cp, cr)
     holds = np.ones(ns.size, dtype=bool)
-    cp = _dominated_counts(ns, ps)
-    cr = _dominated_counts(ns, rs)
-    a = np.where(cp <= cr, ps, rs)
-    b = np.where(cp <= cr, rs, ps)
-    size = np.minimum(cp, cr) - 2
-    _refute_condition1(ns, a, b, np.arange(ns.size), holds, _PREFIX)
-    for i in np.flatnonzero(holds & (size > _BATCH)).tolist():
+    for i in np.flatnonzero(size > OBSTRUCTION_CAP).tolist():
         holds[i] = _condition1(int(ns[i]), int(ps[i]), int(rs[i]))
-    _refute_condition1(ns, a, b, np.flatnonzero(holds & (size > _PREFIX) & (size <= _BATCH)), holds)
+    lo, width = 1, _PREFIX
+    while (i := np.flatnonzero(holds & (size >= lo) & (size <= OBSTRUCTION_CAP))).size:
+        # members lo..lo + width - 1 of each open triple, at most _BATCH a tile
+        width = max(width, _BATCH // i.size)
+        for own in np.split(i, range(step := _BATCH // width, i.size, step)):
+            count = np.minimum(size[own] + 1 - lo, width)
+            k = _members(radix[:, own], place[:, own], np.full(own.size, lo), lo + count)
+            free = _dominated_mask(k, np.repeat(ns[own], count), np.repeat(b[own], count))
+            holds[own[np.logical_or.reduceat(free, np.cumsum(count) - count)]] = False
+        lo, width = lo + width, min(width * _GROW, _BATCH)
     return holds
-
-
-def _refute_condition1(ns, a, b, todo: np.ndarray, holds: np.ndarray, least: int | None = None) -> None:
-    """Clear holds[i] for each i in todo where some base-a[i] obstruction
-    member of ns[i] (of the `least` smallest, if given) is carry-free in
-    base b[i] too; digit loops over at most _BATCH members."""
-    group: list[int] = []
-    sets: list[np.ndarray] = []
-    total = 0
-    for i in todo.tolist():
-        mem = _members(int(ns[i]), int(a[i]), least)
-        if total + mem.size > _BATCH:
-            _clear_refuted(ns, b, group, sets, holds)
-            group, sets, total = [], [], 0
-        group.append(i)
-        sets.append(mem)
-        total += mem.size
-    _clear_refuted(ns, b, group, sets, holds)
-
-
-def _clear_refuted(ns, b, group: list[int], sets: list[np.ndarray], holds: np.ndarray) -> None:
-    """One digit loop over the concatenated sets: clear holds[i] for each i
-    in group whose set has a member carry-free in base b[i]."""
-    if group:
-        sizes = [s.size for s in sets]
-        free = _dominated_mask(
-            np.concatenate(sets), np.repeat(ns[group], sizes), np.repeat(b[group], sizes)
-        )
-        holds[np.repeat(group, sizes)[free]] = False
 
 
 def primitive_index_divisible(n: int, p: int) -> bool:

@@ -121,13 +121,12 @@ class CycleType:
         return lcm(*self.parts)
 
     def splits(self) -> bool:
-        """Whether the S_n-class splits into two A_n-classes.
-
-        Happens exactly when all cycle lengths are odd and pairwise
-        distinct (the centralizer then contains no odd permutation).
-        """
+        """Whether the S_n-class splits into two A_n-classes: exactly when
+        n >= 2 (S_0 and S_1 are A_0 and A_1) and the cycle lengths are odd
+        and pairwise distinct (the centralizer then has no odd element)."""
         return (
-            self.is_even()
+            self.degree >= 2
+            and self.is_even()
             and all(l % 2 == 1 for l in self.parts)
             and len(set(self.parts)) == len(self.parts)
         )

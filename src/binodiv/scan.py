@@ -45,6 +45,7 @@ from .arith import (
 from .conditions import (
     _BATCH,
     _condition1_many,
+    _digit_slots,
     _dominated_mask,
     _members,
     condition2_direct,
@@ -267,13 +268,6 @@ def _big_candidates(n: int, k0: int, primes: np.ndarray) -> list[int]:
     return sorted(out)
 
 
-def _filter_members(n: int, p: int) -> np.ndarray:
-    """The _FILTER_MEMBERS least base-p obstruction members of n, ascending
-    from k0 = p**v_p(n); padded with the largest when there are fewer."""
-    mem = _members(n, p, _FILTER_MEMBERS)
-    return mem[np.minimum(np.arange(_FILTER_MEMBERS), mem.size - 1)]
-
-
 def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
     ps[i], r), or 0 where there is none; no n may be a prime power, so
@@ -293,7 +287,11 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
         n, p = ns[g], ps[g]
-        lead = np.stack([_filter_members(int(x), int(y)) for x, y in zip(n, p)])
+        # the _FILTER_MEMBERS least base-p members, k0 = p**v_p(n) first, the last repeated if fewer
+        radix, place, _ = _digit_slots(n, p)
+        m = np.minimum(radix.prod(axis=0) - 2, _FILTER_MEMBERS)
+        k = _members(radix, place, np.ones_like(m), m + 1)
+        lead = k[(np.cumsum(m) - m)[:, None] + np.minimum(np.arange(_FILTER_MEMBERS), m[:, None] - 1)]
         kept = []
         for b in range(0, n.size, step):
             owner, col = np.nonzero(small[None, :] < n[b : b + step, None])

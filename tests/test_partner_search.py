@@ -5,16 +5,27 @@ condition2_direct, so it shares no filtering, batching or candidate
 generation with the scanner.
 """
 
+import math
 import random
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binodiv import conditions, scan
 from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
-from binodiv.conditions import _condition1_many, _dominated_counts, _dominated_mask, condition2_direct
+from binodiv.conditions import (
+    _condition1_many,
+    _digit_slots,
+    _dominated_mask,
+    _enumerate_p,
+    condition1_holds,
+    condition2_direct,
+    obstructions,
+)
 from binodiv.scan import ScanRecord, direct_search, iter_scan, scan_one, scan_range
 
 
@@ -129,6 +140,14 @@ def test_least_verified_without_candidates_leaves_found_alone():
     assert found.tolist() == [0, 7, 0]
 
 
+def _sizes(ns, ps, rs):
+    """Both obstruction set sizes of each triple, and that of the set
+    _condition1_many enumerates."""
+    (rp, _, dp), (rr, _, dr) = _digit_slots(ns, ps), _digit_slots(ns, rs)
+    cp, cr = rp.prod(axis=0) - 2, rr.prod(axis=0) - 2
+    return cp, cr, np.where(_enumerate_p(cp, cr, np.where(ps == 2, 1, dp), np.where(rs == 2, 1, dr)), cp, cr)
+
+
 _PRIMES = primes_upto(10**5)
 # smaller obstruction sets of 2 to 23,326 members; (98272, 2, 673) fails,
 # but only past the _PREFIX least members of its 2,046
@@ -148,16 +167,82 @@ def _triples(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     triples=st.lists(_triples(), max_size=40),
-    tiers=st.sampled_from([(conditions._PREFIX, conditions._BATCH), (16, 1024), (2, 32)]),
+    tiers=st.sampled_from([(conditions._PREFIX, conditions._GROW, conditions._BATCH), (16, 4, 1024), (2, 2, 32)]),
 )
 def test_condition1_many_matches_the_family_route(triples, tiers):
     ns, ps, rs = (np.array(col, dtype=np.int64) for col in zip(*(_ANCHORS + triples)))
-    size = np.minimum(_dominated_counts(ns, ps), _dominated_counts(ns, rs)) - 2
-    prefix, batch = tiers
+    size = np.minimum(*_sizes(ns, ps, rs)[:2])
+    prefix, grow, batch = tiers
     assert set(((size > prefix).astype(int) + (size > batch)).tolist()) == {0, 1, 2}
     want = [condition2_direct(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
-    with mock.patch.multiple(conditions, _PREFIX=prefix, _BATCH=batch):
+    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch):
         assert _condition1_many(ns, ps, rs).tolist() == want
+
+
+@lru_cache(maxsize=None)
+def _binomials_covered(n, p, r):
+    return all(math.comb(n, k) % p == 0 or math.comb(n, k) % r == 0 for k in range(1, n))
+
+
+# pairs with 2: (665, 7, 2), (525, 7, 2) and (1263, 2, 23) enumerate their
+# larger set; (870, 2, 11) and (1263, 2, 23) have both sets above 40 members;
+# the set of (107, 107, 2) is empty
+_TWO_ANCHORS = [
+    (665, 7, 2), (525, 7, 2), (1263, 2, 23), (870, 2, 11), (481, 2, 199),
+    (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2),
+]
+_BELOW_1600 = [int(q) for q in primes_upto(1600)]
+
+
+@st.composite
+def _two_triples(draw):
+    n = draw(st.integers(2, 1600))
+    r = draw(st.sampled_from(_BELOW_1600))
+    return (n, 2, r) if draw(st.booleans()) else (n, r, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    triples=st.lists(_two_triples(), max_size=12),
+    tiers=st.sampled_from([(2, 2, 8), (8, 4, 64), (conditions._PREFIX, conditions._GROW, conditions._BATCH)]),
+    cap=st.sampled_from([conditions.OBSTRUCTION_CAP, 40]),
+)
+def test_condition1_with_two_matches_binomials(triples, tiers, cap):
+    ns, ps, rs = (np.array(col, dtype=np.int64) for col in zip(*(_TWO_ANCHORS + triples)))
+    cp, cr, picked = _sizes(ns, ps, rs)
+    assert (picked > np.minimum(cp, cr)).any()
+    # enumerated sets of at most the prefix, within one tile, and split across tiles
+    prefix, grow, batch = tiers
+    if batch < conditions._BATCH:
+        assert set(((picked > prefix).astype(int) + (picked > batch)).tolist()) == {0, 1, 2}
+    if cap < conditions.OBSTRUCTION_CAP:
+        assert (np.minimum(cp, cr) > cap).any() and ((picked > cap) & (np.minimum(cp, cr) <= cap)).any()
+    want = [_binomials_covered(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
+    assert set(want) == {False, True}
+    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch, OBSTRUCTION_CAP=cap):
+        # the rule never enumerates a set above the cap while the other is within it
+        picked = _sizes(ns, ps, rs)[2]
+        assert ((picked <= cap) | (np.minimum(cp, cr) > cap)).all()
+        assert _condition1_many(ns, ps, rs).tolist() == want
+        assert [condition1_holds(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)] == want
+
+
+@pytest.mark.parametrize("tiers", [(2, 2, 8), (8, 4, 64), (conditions._PREFIX, conditions._GROW, conditions._BATCH)])
+@pytest.mark.parametrize("triple, base", [((665, 7, 2), 7), ((525, 7, 2), 7), ((870, 2, 11), 11)])
+def test_condition1_many_tests_each_member_of_a_holding_set_once(monkeypatch, tiers, triple, base):
+    tested = []
+    real = conditions._members
+
+    def spy(*args):
+        members = real(*args)
+        tested.extend(members.tolist())
+        return members
+
+    monkeypatch.setattr(conditions, "_members", spy)
+    prefix, grow, batch = tiers
+    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch):
+        assert _condition1_many(*(np.array([x], dtype=np.int64) for x in triple)).tolist() == [True]
+    assert sorted(tested) == obstructions(triple[0], base).members.tolist()
 
 
 def _naive_dominated(k, n, base):
@@ -198,6 +283,20 @@ def test_dominated_mask_per_entry_n_and_base(rows, compact):
     want = [_naive_dominated(int(k), int(n), int(b)) for k, n, b in zip(ks, ns, bases)]
     with mock.patch.object(conditions, "_COMPACT", compact):
         assert _dominated_mask(ks, ns, bases).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(1, 10**6), _BASES, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_members_are_slices_of_the_ascending_dominated_values(rows):
+    # the batched builder against the one-set builder, on ranges [lo, hi)
+    ns = np.array([n for n, _, _, _ in rows], dtype=np.int64)
+    radix, place, _ = _digit_slots(ns, np.array([b for _, b, _, _ in rows], dtype=np.int64))
+    want, lo, hi = [], [], []
+    for (n, b, f, g), count in zip(rows, radix.prod(axis=0).tolist()):
+        lo.append(int(f * (count - 1)))
+        hi.append(lo[-1] + 1 + int(g * (count - 1 - lo[-1])))
+        want += conditions._dominated_values(n, b)[lo[-1] : hi[-1]].tolist()
+    assert conditions._members(radix, place, np.array(lo), np.array(hi)).tolist() == want
 
 
 def test_big_candidates_sweep_the_scans_prime_table():

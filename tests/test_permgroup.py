@@ -110,6 +110,11 @@ def test_splits():
     assert not CycleType(5, (3, 1, 1)).splits()  # repeated fixed points
     assert not CycleType(8, (4, 4)).splits()  # even lengths
     assert not CycleType(6, (3, 3)).splits()
+    # S_0 and S_1 equal A_0 and A_1, so their identity class stays whole
+    assert not CycleType(0, ()).splits()
+    assert not CycleType(1, (1,)).splits()
+    identity = [Permutation((0,))]
+    assert list(class_members(1, CycleType(1, (1,)), 0)) == list(class_members(1, CycleType(1, (1,)), 1)) == identity
 
 
 def test_class_size_matches_enumeration():
