@@ -42,14 +42,7 @@ from .arith import (
     largest_prime_power_divisor,
     primes_upto,
 )
-from .conditions import (
-    _BATCH,
-    _condition1_many,
-    _digit_slots,
-    _dominated_mask,
-    _members,
-    condition2_direct,
-)
+from .conditions import _condition1_many, condition2_direct
 
 __all__ = [
     "CHUNK",
@@ -84,15 +77,10 @@ _PINNED = {"any": None, "with-two": 2}
 STAGES = ("prime_power", "sieve", "direct", "other_divisor", "fail")
 _PRIME_POWER, _SIEVE, _DIRECT, _OTHER, _FAIL = range(5)
 
-# Partner-search tuning.  Every prime below _SMALL_BOUND is a candidate;
-# larger ones come from factoring the numerator terms of C(n, k0) when
-# k0 <= _TERM_CAP, else from a vectorized remainder sweep.  _FILTER_MEMBERS
-# leading obstruction members prune candidates before the exact test runs,
-# and no digit loop takes more than _BATCH members.  _GROUP pairs (n, p)
-# are searched together.
+# Partner-search tuning.  The candidates are the prime divisors of C(n, k0),
+# k0 = p**v_p(n); those below _SMALL_BOUND are verified first, the rest
+# only for the pairs still open.  _GROUP pairs (n, p) are searched together.
 _SMALL_BOUND = 1000
-_TERM_CAP = 16
-_FILTER_MEMBERS = 10
 _GROUP = 1024
 
 
@@ -245,29 +233,6 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
     return None
 
 
-def _big_candidates(n: int, k0: int, primes: np.ndarray) -> list[int]:
-    """Ascending primes q with _SMALL_BOUND < q < n dividing C(n, k0).
-
-    For q > k0 divisibility means exactly one numerator term of C(n, k0) is
-    a multiple of q, i.e. n mod q < k0; small k0 factors the terms, large
-    k0 sweeps remainders over the prime table, which must reach n.
-    """
-    if n - 1 <= _SMALL_BOUND:
-        return []
-    out: set[int] = set()
-    if k0 <= _TERM_CAP:
-        for t in range(n - k0 + 1, n + 1):
-            for q, _ in factorize(t).factors:
-                if _SMALL_BOUND < q < n:
-                    out.add(q)
-    else:
-        lo = int(np.searchsorted(primes, _SMALL_BOUND, side="right"))
-        hi = int(np.searchsorted(primes, n, side="left"))
-        sub = primes[lo:hi]
-        out.update(int(q) for q in sub[(n % sub) < k0])
-    return sorted(out)
-
-
 def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
     ps[i], r), or 0 where there is none; no n may be a prime power, so
@@ -275,59 +240,80 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
     table must reach every n.
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
-    (Kummer: the sum k + (n - k) carries in base r).  The candidates are
-    every prime below _SMALL_BOUND, then, for the pairs still unresolved,
-    the larger ones from _big_candidates.  Candidates with a leading member
-    carry-free in their base are dropped, all at once, and _least_verified
-    decides the rest.  Pairs go _GROUP at a time.
+    (Kummer: the sum k + (n - k) carries in base r), the least of which is
+    k0 = p**v_p(n); so the candidates are the prime divisors of C(n, k0).
+    They come from _term_divisors, or, where factoring the k0 numerator
+    terms costs more remainders than there are primes below n, from
+    _swept.  _least_verified decides the candidates below _SMALL_BOUND
+    first, then the rest of the pairs still open.  Pairs go _GROUP at a
+    time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
-    small = primes[: int(np.searchsorted(primes, _SMALL_BOUND, side="right"))]
-    step = _BATCH // small.size
+    split = int(np.searchsorted(primes, _SMALL_BOUND))
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
         n, p = ns[g], ps[g]
-        # the _FILTER_MEMBERS least base-p members, k0 = p**v_p(n) first, the last repeated if fewer
-        radix, place, _ = _digit_slots(n, p)
-        m = np.minimum(radix.prod(axis=0) - 2, _FILTER_MEMBERS)
-        k = _members(radix, place, np.ones_like(m), m + 1)
-        lead = k[(np.cumsum(m) - m)[:, None] + np.minimum(np.arange(_FILTER_MEMBERS), m[:, None] - 1)]
-        kept = []
-        for b in range(0, n.size, step):
-            owner, col = np.nonzero(small[None, :] < n[b : b + step, None])
-            kept.append(_filtered(lead, n, owner + b, small[col]))
-        owner = np.concatenate([o for o, _ in kept])
-        qs = np.concatenate([q for _, q in kept])
-        _least_verified(n, p, owner, qs, found[g])
-        todo = np.flatnonzero(found[g] == 0)
-        cands = [_big_candidates(int(n[i]), int(lead[i, 0]), primes) for i in todo]
-        owner = np.repeat(todo, [len(c) for c in cands])
-        qs = np.array([q for c in cands for q in c], dtype=np.int64)
-        _least_verified(n, p, *_filtered(lead, n, owner, qs), found[g])
+        k0 = np.ones_like(n)
+        while (more := n % (k0 * p) == 0).any():
+            k0[more] *= p[more]
+        # factoring takes k0 remainders per prime up to sqrt(n), the sweep one per prime below n
+        root_pi, n_pi = np.searchsorted(primes, (np.sqrt(n), n), side="right")
+        sweep = k0 * root_pi > n_pi
+        owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep), primes)
+        for band, in_band in ((primes[:split], qs < _SMALL_BOUND), (primes[split:], qs >= _SMALL_BOUND)):
+            more_owner, more_qs = _swept(n, k0, np.flatnonzero(sweep & (found[g] == 0)), band)
+            o, q = np.concatenate((owner[in_band], more_owner)), np.concatenate((qs[in_band], more_qs))
+            order = np.argsort(o, kind="stable")
+            _least_verified(n, p, o[order], q[order], found[g])
     return found
 
 
-def _filtered(lead: np.ndarray, ns: np.ndarray, owner: np.ndarray, qs: np.ndarray):
-    """The candidate pairs (owner[j], qs[j]) where no leading member of
-    n = ns[owner[j]] is carry-free in base q = qs[j], i.e. where q divides
-    C(n, k) for each.
+def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, primes: np.ndarray):
+    """The pairs (i, q), i in rows, with q a prime dividing C(ns[i], ks[i]),
+    ascending in i and then q, by factoring the numerator terms
+    ns[i] - ks[i] + 1, ..., ns[i]; the prime table must reach sqrt(ns).
 
-    Where every member is below q, a member k is carry-free exactly when
-    k <= n mod q (Kummer), so the test is n mod q < k0 for the least member
-    k0; the other pairs run the digit loop, at most _BATCH members a call.
+    A prime q divides one of the k consecutive terms ending at n exactly
+    when n mod q < k.  After division by the primes up to sqrt(max ns),
+    what is left of a term is 1 or a prime.
     """
-    keep = ns[owner] % qs < lead[owner, 0]
-    long = np.flatnonzero(lead[owner, -1] >= qs)
-    step = _BATCH // _FILTER_MEMBERS
-    for a in range(0, long.size, step):
-        j = long[a : a + step]
-        free = _dominated_mask(
-            lead[owner[j]].ravel(),
-            np.repeat(ns[owner[j]], _FILTER_MEMBERS),
-            np.repeat(qs[j], _FILTER_MEMBERS),
-        )
-        keep[j] = ~free.reshape(-1, _FILTER_MEMBERS).any(axis=1)
-    return owner[keep], qs[keep]
+    n, k = ns[rows], ks[rows]
+    low = primes[: int(np.searchsorted(primes, _iroot(int(n.max(initial=0)), 2), side="right"))]
+    i, j = np.nonzero(n[:, None] % low < k[:, None])
+    term = np.repeat(np.arange(rows.size), k)
+    rem = n[term] - np.arange(term.size) + np.repeat(np.cumsum(k) - k, k)
+    for q in np.unique(low[j]).tolist():
+        at = np.flatnonzero(rem % q == 0)
+        while at.size:
+            rem[at] //= q
+            at = at[rem[at] % q == 0]
+    big = rem > 1
+    # one key per pair sorts by i, then q, and drops repeats
+    key = np.unique(np.concatenate((i, term[big])) * MAX_N + np.concatenate((low[j], rem[big])))
+    return _binomial_divisors(ns, ks, rows[key // MAX_N], key % MAX_N)
+
+
+def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
+    """The pairs (i, q), i in rows, with q a prime of band below ns[i]
+    dividing C(ns[i], ks[i]), ascending in i and then q; one remainder per
+    prime."""
+    owner, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i in rows.tolist():
+        sub = band[: int(np.searchsorted(band, ns[i]))]
+        qs.append(sub[ns[i] % sub < ks[i]])
+        owner.append(np.full(qs[-1].size, i))
+    return _binomial_divisors(ns, ks, np.concatenate(owner), np.concatenate(qs))
+
+
+def _binomial_divisors(ns: np.ndarray, ks: np.ndarray, owner: np.ndarray, qs: np.ndarray):
+    """The pairs (owner[j], qs[j]) with qs[j] dividing C(ns[owner[j]], ks[owner[j]]),
+    by Legendre: v_q(C(n, k)) sums n // q**e - k // q**e - (n - k) // q**e over e >= 1."""
+    n, k = ns[owner], ks[owner]
+    v, power = np.zeros_like(qs), qs.copy()
+    while (live := power <= n).any():
+        v += n // power - k // power - (n - k) // power
+        power[live] *= qs[live]
+    return owner[v > 0], qs[v > 0]
 
 
 def _least_verified(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
@@ -688,12 +674,17 @@ def parse_record(line: str) -> ScanRecord:
     stage = parts[1]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    witness = (int(parts[2]), int(parts[3])) if parts[2] else None
+    # a row has a witness exactly when its stage is not fail, and a sieve
+    # pair exactly when its stage is sieve
+    has_witness, has_pair = any(parts[2:4]), any(parts[4:6])
+    if has_witness != (stage != "fail") or has_pair != (stage == "sieve"):
+        raise ValueError(f"fields do not fit stage {stage!r} in line {line!r}")
+    witness = (int(parts[2]), int(parts[3])) if has_witness else None
     pair = None
-    if parts[4]:
+    if has_pair:
         pa = is_prime_power(int(parts[4]))
         rb = is_prime_power(int(parts[5]))
-        if pa is None or rb is None or witness is None:
+        if pa is None or rb is None:
             raise ValueError(f"bad sieve pair in line {line!r}")
         pair = (pa, rb)
     return ScanRecord(n, stage, witness, pair)

@@ -26,6 +26,7 @@ from binodiv.conditions import (
     condition2_direct,
     obstructions,
 )
+from binodiv.kummer import valuation_binomial
 from binodiv.scan import ScanRecord, direct_search, iter_scan, scan_one, scan_range
 
 
@@ -299,7 +300,7 @@ def test_members_are_slices_of_the_ascending_dominated_values(rows):
     assert conditions._members(radix, place, np.array(lo), np.array(hi)).tolist() == want
 
 
-def test_big_candidates_sweep_the_scans_prime_table():
+def test_a_scan_builds_one_prime_table_for_its_whole_range():
     # n below 10**6 in a scan up to 1.1 * 10**6 use the cap-10**7 table
     scan._context.cache_clear()
     scan_range(900_000, 1_100_000, workers=1)
@@ -319,3 +320,40 @@ def test_pow_below_is_the_largest_power_below_each_n(prime, ns):
             q *= prime
         want.append(q)
     assert scan._pow_below(np.array(ns, dtype=np.int64), prime).tolist() == want
+
+
+def _k0(n, p):
+    k = 1
+    while n % (k * p) == 0:
+        k *= p
+    return k
+
+
+def test_term_divisors_are_the_prime_divisors_of_the_binomial():
+    rng = random.Random(11)
+    ns, ks = [80, 98304, 2 * 3**9], [16, 32768, 3**9]  # 3 divides a term of C(80, 16), not the binomial
+    while len(ns) < 40:
+        n = rng.randrange(9, 10**5)
+        if is_prime_power(n) is None:
+            p = rng.choice(factorize(n).primes() + (2, 3, 5, 7))
+            ns.append(n)
+            ks.append(_k0(n, p))
+    rows = np.array(sorted(rng.sample(range(len(ns)), 30) + [0, 1, 2]), dtype=np.int64)
+    owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows, _PRIMES)
+    want = [(i, int(q)) for i in rows.tolist() for q in primes_upto(ns[i] - 1) if valuation_binomial(ns[i], ks[i], int(q)) > 0]
+    assert list(zip(owner.tolist(), qs.tolist())) == want
+
+
+@pytest.mark.parametrize("n, p, r", [(233926, 7, 1601), (71994, 13, 1531), (352604, 7, 4463)])
+def test_swept_partners_above_the_small_bound_match_oracle(monkeypatch, n, p, r):
+    swept = []
+    real = scan._swept
+
+    def spy(ns, ks, rows, band):
+        swept.append((rows.size, int(band[0])))
+        return real(ns, ks, rows, band)
+
+    monkeypatch.setattr(scan, "_swept", spy)
+    assert direct_search(n, p) == least_partner(n, p) == r
+    # the pair takes the sweep in both bands
+    assert [size for size, _ in swept] == [1, 1] and swept[1][1] > scan._SMALL_BOUND

@@ -308,6 +308,10 @@ def test_parse_record_rejects_malformed():
         parse_record("10,sieve,5,3,6,9")  # 6 is not a prime power
     with pytest.raises(ValueError):
         parse_record("10,sieve,,,5,9")  # pair without witness
+    # a witness exactly when the stage is not fail, a pair exactly when it is sieve
+    for line in ("10,fail,2,3,,", "10,direct,,,,", "12,direct,2,11,4,11", "12,sieve,2,11,,"):
+        with pytest.raises(ValueError):
+            parse_record(line)
 
 
 def test_scan_to_csv_matches_in_memory_scan(tmp_path):
