@@ -32,11 +32,8 @@ __all__ = [
 ]
 
 OBSTRUCTION_CAP = 1 << 20
-# _condition1_many: members per tile; first each set's _PREFIX least members
-# (or its share of a tile), where most refutations are, then tiers _GROW times longer
-_BATCH = 1 << 14
-_PREFIX = 16
-_GROW = 4
+# _condition1_many cuts the ranges of its cursors while fewer than this are live
+_CUT = 256
 # _dominated_mask compacts its arrays while more entries than this remain
 _COMPACT = 1024
 
@@ -81,60 +78,6 @@ class ConditionWitness:
     stage: str  # "small_table" | "prime_power_case" | "sieve_pair" | "direct_search"
 
 
-def _enumerate_p(cp, cr, sp, sr):
-    """Both Condition (1) kernels' rule: enumerate the base-p set (cp members;
-    sp digit steps to test a k in base p) over the base-r set when testing it
-    in base r costs no more, and never one above OBSTRUCTION_CAP while the
-    other is within it.  Either set gives the same verdict."""
-    return (cp * sr <= cr * sp) & (cp <= OBSTRUCTION_CAP) | (cr > OBSTRUCTION_CAP)
-
-
-def _digit_slots(ns: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radix d + 1 and place value bases[i]**position of each nonzero base
-    digit d of ns[i], lowest first, as (slots, len(ns)) arrays padded with
-    radix 1 and place 0 (so radices multiply to the dominated count), and
-    the number of base digits of each ns[i]."""
-    digs, m = [], ns
-    while m.any():
-        m, d = divmod(m, bases)
-        digs.append(d)
-    radix = np.array(digs, dtype=np.int64).reshape(len(digs), ns.size) + 1
-    nonzero = radix > 1
-    # bases**position, wrapping harmlessly above a column's top digit
-    place = np.cumprod(np.vstack((np.ones_like(ns), np.broadcast_to(bases, radix.shape)[1:])), axis=0) * nonzero
-    order = np.argsort(~nonzero, axis=0, kind="stable")[: int(nonzero.sum(axis=0).max(initial=0))]
-    ndig = (np.cumsum(nonzero[::-1], axis=0) > 0).sum(axis=0)
-    return np.take_along_axis(radix, order, 0), np.take_along_axis(place, order, 0), ndig
-
-
-def _members(radix: np.ndarray, place: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """For each slot column i (see _digit_slots), the dominated k numbered
-    lo[i] <= j < hi[i], lo[i] < hi[i], in order of i, then j.
-
-    The j-th is j in the mixed radix of the slots read in place values, so
-    k ascends with j and the obstruction members are 1 <= j <= count - 2.
-    Built top slot first, the prefixes j // below of each level expanding
-    into those in [lo, hi) of the level below, as one cumulative sum."""
-    below = np.cumprod(np.vstack((np.ones_like(lo), radix[:-1])), axis=0)
-    first, last = lo // below, (hi - 1) // below
-    skip, tail = first % radix, radix - 1 - last % radix
-    parents = last // radix - first // radix + 1
-    head = np.cumsum(parents, axis=1) - parents
-    val = np.zeros(lo.size, dtype=np.int64)
-    # higher levels hold only the prefix 0; a prefix's children are
-    # prefix * radix + c, c in [skip, radix - tail) at a column's ends
-    for t in reversed(range(int(last.any(axis=1).sum()))):
-        cnt = np.repeat(radix[t], parents[t])
-        cnt[head[t]] -= skip[t]
-        cnt[head[t] + parents[t] - 1] -= tail[t]
-        val[head[t]] += skip[t] * place[t]
-        after = val + (cnt - 1) * np.repeat(place[t], parents[t])
-        step = np.repeat(place[t], last[t] - first[t] + 1)
-        step[np.cumsum(cnt) - cnt] = val - np.concatenate(([0], after[:-1]))
-        val = np.cumsum(step)
-    return val
-
-
 def _dominated_values(n: int, p: int) -> np.ndarray:
     """Dominated k in [0, n], ascending: one whole set, a broadcast per digit."""
     vals = np.zeros(1, dtype=np.int64)
@@ -146,46 +89,33 @@ def _dominated_values(n: int, p: int) -> np.ndarray:
     return vals
 
 
-def _dominated_mask(ks: np.ndarray, n, base) -> np.ndarray:
+def _dominated_mask(ks: np.ndarray, n: int, base: int) -> np.ndarray:
     """Boolean mask over the int64 array ks: base digits dominated by those
     of n (0 <= ks <= n).
 
-    n and base are integers or arrays like ks.  Base 2 is the bit test
-    k & ~n == 0.  Else, while many entries are undecided (more than
-    _COMPACT, or 32 times that when n is one integer and each step is
-    cheaper), an entry leaves the digit loop at its first digit above n's,
-    or once its remaining digits are all zero; the rest finish in a plain
-    digit loop.
+    Base 2 is the bit test k & ~n == 0.  Else, while more than _COMPACT
+    entries are undecided (if there were 32 times that to start with), an
+    entry leaves the digit loop at its first digit above n's, or once its
+    remaining digits are all zero; the rest finish in a plain digit loop.
     """
-    scalar = not isinstance(n, np.ndarray)
-    if not isinstance(base, np.ndarray) and base == 2:
+    if base == 2:
         return (ks & ~n) == 0
-    if isinstance(base, np.ndarray) and (two := base == 2).any():
-        ok = (ks & ~n) == 0
-        if not two.all():
-            ok[~two] = _dominated_mask(ks[~two], n if scalar else n[~two], base[~two])
-        return ok
-    k, m, b = ks, n, base
+    k, m = ks, n
     ok = np.ones(k.size, dtype=bool)
     fine, live = ok, None
-    if k.size > (_COMPACT << 5 if scalar else _COMPACT):
+    if k.size > _COMPACT << 5:
         live = np.arange(k.size)
         while live.size > _COMPACT:
-            k, dk = divmod(k, b)
-            m, dm = divmod(m, b)
+            k, dk = divmod(k, base)
+            m, dm = divmod(m, base)
             carry = dk > dm
             ok[live[carry]] = False
             keep = ~carry & (k > 0)
-            live = live[keep]
-            k = k[keep]
-            if not scalar:
-                m = m[keep]
-            if isinstance(b, np.ndarray):
-                b = b[keep]
+            live, k = live[keep], k[keep]
         fine = ok[live]
-    while (m if scalar else k.any()) and fine.any():
-        k, dk = divmod(k, b)
-        m, dm = divmod(m, b)
+    while m and fine.any():
+        k, dk = divmod(k, base)
+        m, dm = divmod(m, base)
         fine &= dk <= dm
     if live is not None:
         ok[live] = fine
@@ -202,8 +132,8 @@ def obstructions(n: int, p: int, cap: int = OBSTRUCTION_CAP) -> ObstructionSet:
 def condition1_holds(n: int, p: int, r: int) -> bool:
     """Whether p or r divides every C(n, k) with 0 < k < n.
 
-    Tests the members of the carry-free set _enumerate_p picks for a carry
-    in the other base; if both sets are enormous, sweeps all k in chunks.
+    Tests the members of one carry-free set for a carry in the other base;
+    if both sets are enormous, leapfrogs between them (_condition1_many).
     """
     _check_n_prime(n, p)
     _check_prime(r)
@@ -211,64 +141,133 @@ def condition1_holds(n: int, p: int, r: int) -> bool:
 
 
 def _condition1(n: int, p: int, r: int) -> bool:
+    """Enumerates the base-p set (cp members; sp digit steps to test a k in
+    base p) over the base-r set when testing it in base r costs no more, and
+    never one above OBSTRUCTION_CAP while the other is within it.  Either
+    set gives the same verdict."""
     dp, dr = digits(n, p), digits(n, r)
     cp, cr = (math.prod(d + 1 for d in ds) - 2 for ds in (dp, dr))
     if min(cp, cr) > OBSTRUCTION_CAP:
-        return not _exists_doubly_carry_free(n, p, r)
-    a, b = (p, r) if _enumerate_p(cp, cr, 1 if p == 2 else len(dp), 1 if r == 2 else len(dr)) else (r, p)
+        return bool(_condition1_many(*(np.array([v], dtype=np.int64) for v in (n, p, r)))[0])
+    sp, sr = (1 if q == 2 else len(ds) for q, ds in ((p, dp), (r, dr)))
+    a, b = (p, r) if cr > OBSTRUCTION_CAP or cp <= OBSTRUCTION_CAP and cp * sr <= cr * sp else (r, p)
     return not _dominated_mask(_dominated_values(n, a)[1:-1], n, b).any()
 
 
-def _exists_doubly_carry_free(n: int, p: int, r: int) -> bool:
-    """Chunked scan of all k in (0, n) for one carry-free in both bases."""
-    chunk = 1 << 20
-    for lo in range(1, n, chunk):
-        ks = np.arange(lo, min(n, lo + chunk), dtype=np.int64)
-        mp = _dominated_mask(ks, n, p)
-        if mp.any() and _dominated_mask(ks[mp], n, r).any():
-            return True
-    return False
-
-
 def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """_condition1 over the triples (ns[i], ps[i], rs[i]), none with n a
-    prime power, which makes each verdict condition2_direct's.
+    """_condition1 over the triples (ns[i], ps[i], rs[i]), n >= 1.
 
-    Lemma: let n >= 9 not be a prime power and primes p != r satisfy
-    Condition (1) (p = r fails both conditions).  k = 1 forces p | n or
-    r | n, so min(p, r) <= n/2 <= n - 3 covers the primitive family.  If
-    neither prime divided an imprimitive index n!/((d!)^m m!), n = dm, then
-    by prime_divides_equipartition either m copies of d add without carry
-    in both bases, so k = d is carry-free in both; or d = p^j, say, and they
-    add without carry in base r, so k = p^v_p(n) = d p^v_p(m) < n is
-    carry-free in base p (one digit, under a nonzero digit of n) and in
-    base r (p^v_p(m) of the m copies of d), contradicting Condition (1).
+    Lemma: for n >= 9 not a prime power each verdict is condition2_direct's.
+    Let primes p != r satisfy Condition (1) (p = r fails both conditions).
+    k = 1 forces p | n or r | n, so min(p, r) <= n/2 <= n - 3 covers the
+    primitive family.  If neither prime divided an imprimitive index
+    n!/((d!)^m m!), n = dm, then by prime_divides_equipartition either m
+    copies of d add without carry in both bases, so k = d is carry-free in
+    both; or d = p^j, say, and they add without carry in base r, so
+    k = p^v_p(n) = d p^v_p(m) < n is carry-free in base p (one digit, under
+    a nonzero digit of n) and in base r (p^v_p(m) of the m copies of d),
+    contradicting Condition (1).
 
-    Each triple tests the members of the set _enumerate_p picks in the
-    other base in tiers, slices of one numbering (_members): its _PREFIX
-    least (more when few triples share a tile), then slices _GROW times
-    longer, at most _BATCH, while it holds.  A triple with both sets above
-    OBSTRUCTION_CAP goes to _condition1.
+    A leapfrog intersection of the two carry-free sets (Veldhuizen,
+    Leapfrog Triejoin, ICDT 2014) over cursors, each a triple and a range
+    [x, end), first [1, n).  A round moves x to the least member >= x of
+    one set, the base-2 set if there is one, then to the least member of
+    the other set >= that: the triple fails when both land on the same
+    k < end, and the cursor is done once it passes end.  The members a
+    cursor lands on ascend in both sets, so for sets of cp and cr members it
+    takes at most min(cp, cr) + 1 rounds.  While fewer than _CUT cursors are live, each live range is cut
+    into equal parts, so that the last triples still move about _CUT
+    cursors a round.
     """
-    radix, place, ndig = _digit_slots(np.concatenate((ns, ns)), bases := np.concatenate((ps, rs)))
-    (cp, cr), (sp, sr) = np.split(radix.prod(axis=0) - 2, 2), np.split(np.where(bases == 2, 1, ndig), 2)
-    first = _enumerate_p(cp, cr, sp, sr)
-    col = np.arange(ns.size) + np.where(first, 0, ns.size)  # the picked set's slot columns
-    radix, place, b, size = radix[:, col], place[:, col], np.where(first, rs, ps), np.where(first, cp, cr)
     holds = np.ones(ns.size, dtype=bool)
-    for i in np.flatnonzero(size > OBSTRUCTION_CAP).tolist():
-        holds[i] = _condition1(int(ns[i]), int(ps[i]), int(rs[i]))
-    lo, width = 1, _PREFIX
-    while (i := np.flatnonzero(holds & (size >= lo) & (size <= OBSTRUCTION_CAP))).size:
-        # members lo..lo + width - 1 of each open triple, at most _BATCH a tile
-        width = max(width, _BATCH // i.size)
-        for own in np.split(i, range(step := _BATCH // width, i.size, step)):
-            count = np.minimum(size[own] + 1 - lo, width)
-            k = _members(radix[:, own], place[:, own], np.full(own.size, lo), lo + count)
-            free = _dominated_mask(k, np.repeat(ns[own], count), np.repeat(b[own], count))
-            holds[own[np.logical_or.reduceat(free, np.cumsum(count) - count)]] = False
-        lo, width = lo + width, min(width * _GROW, _BATCH)
+    two = rs == 2
+    # the base, digit table and digit counts of each set, a base-2 set first
+    sets = [(b, *_digit_table(np.where(b == 2, 0, ns), b)) for b in (np.where(two, 2, ps), np.where(two, ps, rs))]
+    tid = np.flatnonzero(ns > 1)
+    x, end = np.ones_like(tid), ns[tid]
+    while tid.size:
+        if (parts := _CUT // tid.size) > 1:
+            tid, x, end = _cut(tid, x, end, parts)
+        n, k = ns[tid], x
+        for base, place, digs, width in sets:
+            w = width[tid].max()
+            a, k = k, _least_member(k, n, base[tid], place[:w, tid], digs[:w, tid])
+        holds[tid[(a == k) & (k < end)]] = False
+        live = (k < end) & holds[tid]
+        tid, x, end = tid[live], k[live], end[live]
     return holds
+
+
+def _cut(tid: np.ndarray, x: np.ndarray, end: np.ndarray, parts: int):
+    """Cursors (tid, x, end) with each range [x, end) cut into
+    min(parts, end - x) parts, whose lengths differ by at most one."""
+    count = np.minimum(parts, end - x)
+    size, extra = np.divmod(end - x, count)
+    own = np.repeat(np.arange(tid.size), count)
+    i = np.arange(own.size) - np.repeat(np.cumsum(count) - count, count)
+    size, extra, x = size[own], extra[own], x[own]
+    # part i starts after i parts of size, the first extra of them one longer
+    lo, hi = (x + size * j + np.minimum(j, extra) for j in (i, i + 1))
+    return tid[own], lo, hi
+
+
+def _digit_table(ns: np.ndarray, bases: np.ndarray):
+    """Place values and base digits of each ns[i], lowest first, as columns
+    of (width, len(ns)) arrays, and the number of digits of each.  Above
+    the top digit of ns[i] the place is 1 and the digit is the base, which
+    no digit reaches; 0 has no digits."""
+    place, digs = [np.ones((0, ns.size), dtype=np.int64)], [np.ones((0, ns.size), dtype=np.int64)]
+    m, power, width = ns, np.ones_like(ns), np.zeros_like(ns)
+    while m.any():
+        top = m > 0
+        place.append(np.where(top, power, 1)[None])
+        digs.append(np.where(top, m % bases, bases)[None])
+        width += top
+        m = m // bases
+        # only where a digit follows, so no power exceeds its n
+        power[m > 0] *= bases[m > 0]
+    return np.vstack(place), np.vstack(digs), width
+
+
+def _least_member(x: np.ndarray, n: np.ndarray, base: np.ndarray, place: np.ndarray, digs: np.ndarray) -> np.ndarray:
+    """The least k >= x with base digits dominated by those of n, entrywise,
+    0 <= x <= n: in base 2 by bits, in other bases by the columns (place,
+    digs) of n's digit table (_digit_table)."""
+    bits = base == 2
+    if bits.all():
+        return _least_submask(x, n)
+    k = _least_digits(x, base, place, digs)
+    return np.where(bits, _least_submask(x, n), k) if bits.any() else k
+
+
+def _least_submask(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The least k >= x with k & ~n == 0, 0 <= x <= n.
+
+    Such a k first exceeds y = x - 1 at a bit of n above every bit of y
+    outside n.  So set all bits from the highest of those down, and count
+    up once in the bits of n.  ~n is negative, so the sum is at most 0 and
+    never wraps."""
+    y = x - 1
+    low = y & ~n
+    for shift in (1, 2, 4, 8, 16, 32):
+        low |= low >> shift
+    return ((y | low | ~n) + 1) & n
+
+
+def _least_digits(x: np.ndarray, base: np.ndarray, place: np.ndarray, digs: np.ndarray) -> np.ndarray:
+    """The least k >= x with no digit above the one of digs in its place,
+    x <= n for the number n of each digit table column (_digit_table).
+
+    x is such a k unless a digit of x exceeds n's.  Else k agrees with x
+    above the lowest digit that is below n's and higher than every digit
+    over n's, adds one there and zeroes the digits under it.  Since x <= n,
+    there is such a digit where x and n first differ."""
+    q = x // place
+    dig = q % base
+    # digits over n's, or under one that is
+    over = np.logical_or.accumulate((dig > digs)[::-1], axis=0)[::-1]
+    j, col = ((dig < digs) > over).argmax(axis=0), np.arange(x.size)
+    return np.where(over[0], (q[j, col] + 1) * place[j, col], x)
 
 
 def primitive_index_divisible(n: int, p: int) -> bool:

@@ -236,8 +236,8 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
 def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
     ps[i], r), or 0 where there is none; no n may be a prime power, so
-    Condition (1) decides each pair (see _condition1_many), and the prime
-    table must reach every n.
+    Condition (1) decides each pair (by the lemma of
+    conditions._condition1_many), and the prime table must reach every n.
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r), the least of which is

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from binodiv import conditions
@@ -106,19 +107,19 @@ def test_condition1_specific():
 
 def _spy_fallback(monkeypatch):
     calls = []
-    scan_all = conditions._exists_doubly_carry_free
+    leapfrog = conditions._condition1_many
 
-    def spy(n, p, r):
-        calls.append(n)
-        return scan_all(n, p, r)
+    def spy(ns, ps, rs):
+        calls.append(int(ns[0]))
+        return leapfrog(ns, ps, rs)
 
-    monkeypatch.setattr(conditions, "_exists_doubly_carry_free", spy)
+    monkeypatch.setattr(conditions, "_condition1_many", spy)
     monkeypatch.setattr(conditions, "OBSTRUCTION_CAP", 2)
     return calls
 
 
 def test_condition1_fallback_scan_matches_brute(monkeypatch):
-    # with the cap at 2, almost every (n, p, r) takes the all-k scan
+    # with the cap at 2, almost every (n, p, r) takes the leapfrog kernel
     calls = _spy_fallback(monkeypatch)
     for n in range(9, 400):
         row = [math.comb(n, k) for k in range(1, n)]
@@ -128,8 +129,8 @@ def test_condition1_fallback_scan_matches_brute(monkeypatch):
     assert len(calls) > 10_000
 
 
-def test_condition1_fallback_scan_crosses_its_chunk(monkeypatch):
-    # n just above 2^20 puts the last k in a second 2^20-wide chunk
+def test_condition1_fallback_matches_enumeration_above_2_20(monkeypatch):
+    # n just above 2^20: the kernel against the enumeration at the default cap
     ns = range(2**20 + 1, 2**20 + 8)
     pairs = [(2, 3), (2, 5), (2, 7), (3, 5)]
     expect = [condition1_holds(n, p, r) for n in ns for p, r in pairs]
@@ -137,6 +138,22 @@ def test_condition1_fallback_scan_crosses_its_chunk(monkeypatch):
     calls = _spy_fallback(monkeypatch)
     assert [condition1_holds(n, p, r) for n in ns for p, r in pairs] == expect
     assert len(calls) > len(expect) // 2
+
+
+def test_condition1_fallback_agrees_near_the_int64_limit():
+    # few set bits, so condition1_holds enumerates the base-2 set; the
+    # leapfrog kernel must agree, digit tables and bit steps near 2**63
+    rng = random.Random(63)
+    got = []
+    for _ in range(40):
+        n = (1 << 62) | sum(1 << b for b in rng.sample(range(62), 5))
+        r = rng.choice([3, 5, 7, 11, 13, 101, 1009, 65537])
+        want = condition1_holds(n, 2, r)
+        assert obstructions(n, 2).count == 62
+        for p, q in ((2, r), (r, 2)):
+            assert conditions._condition1_many(*(np.array([v], dtype=np.int64) for v in (n, p, q))).tolist() == [want], (n, r)
+        got.append(want)
+    assert set(got) == {False, True}
 
 
 def test_small_table_verdicts():

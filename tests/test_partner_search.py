@@ -19,9 +19,9 @@ from binodiv import conditions, scan
 from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
 from binodiv.conditions import (
     _condition1_many,
-    _digit_slots,
+    _digit_table,
     _dominated_mask,
-    _enumerate_p,
+    _least_member,
     condition1_holds,
     condition2_direct,
     obstructions,
@@ -141,18 +141,16 @@ def test_least_verified_without_candidates_leaves_found_alone():
     assert found.tolist() == [0, 7, 0]
 
 
-def _sizes(ns, ps, rs):
-    """Both obstruction set sizes of each triple, and that of the set
-    _condition1_many enumerates."""
-    (rp, _, dp), (rr, _, dr) = _digit_slots(ns, ps), _digit_slots(ns, rs)
-    cp, cr = rp.prod(axis=0) - 2, rr.prod(axis=0) - 2
-    return cp, cr, np.where(_enumerate_p(cp, cr, np.where(ps == 2, 1, dp), np.where(rs == 2, 1, dr)), cp, cr)
+def _counts(ns, ps, rs):
+    """Both obstruction set sizes of each triple."""
+    return (np.array([obstructions(int(n), int(q)).count for n, q in zip(ns, qs)]) for qs in (ps, rs))
 
 
 _PRIMES = primes_upto(10**5)
 # smaller obstruction sets of 2 to 23,326 members; (98272, 2, 673) fails,
-# but only past the _PREFIX least members of its 2,046
+# but only past the 16 least members of its 2,046
 _ANCHORS = [(30, 5, 29), (31416, 2, 7853), (46800, 2, 149), (9455, 2, 31), (98272, 2, 673), (98303, 2, 3)]
+_CUTS = [1, 2, conditions._CUT]
 
 
 @st.composite
@@ -166,17 +164,13 @@ def _triples(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    triples=st.lists(_triples(), max_size=40),
-    tiers=st.sampled_from([(conditions._PREFIX, conditions._GROW, conditions._BATCH), (16, 4, 1024), (2, 2, 32)]),
-)
-def test_condition1_many_matches_the_family_route(triples, tiers):
+@given(triples=st.lists(_triples(), max_size=40), cut=st.sampled_from(_CUTS))
+def test_condition1_many_matches_the_family_route(triples, cut):
     ns, ps, rs = (np.array(col, dtype=np.int64) for col in zip(*(_ANCHORS + triples)))
-    size = np.minimum(*_sizes(ns, ps, rs)[:2])
-    prefix, grow, batch = tiers
-    assert set(((size > prefix).astype(int) + (size > batch)).tolist()) == {0, 1, 2}
+    size = np.minimum(*_counts(ns, ps, rs))[: len(_ANCHORS)]
+    assert size.min() == 2 and size.max() > conditions._CUT
     want = [condition2_direct(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
-    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch):
+    with mock.patch.object(conditions, "_CUT", cut):
         assert _condition1_many(ns, ps, rs).tolist() == want
 
 
@@ -185,9 +179,8 @@ def _binomials_covered(n, p, r):
     return all(math.comb(n, k) % p == 0 or math.comb(n, k) % r == 0 for k in range(1, n))
 
 
-# pairs with 2: (665, 7, 2), (525, 7, 2) and (1263, 2, 23) enumerate their
-# larger set; (870, 2, 11) and (1263, 2, 23) have both sets above 40 members;
-# the set of (107, 107, 2) is empty
+# pairs with 2: (870, 2, 11) and (1263, 2, 23) have both sets above 40
+# members, (665, 7, 2) and (525, 7, 2) one; the set of (107, 107, 2) is empty
 _TWO_ANCHORS = [
     (665, 7, 2), (525, 7, 2), (1263, 2, 23), (870, 2, 11), (481, 2, 199),
     (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2),
@@ -205,45 +198,50 @@ def _two_triples(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     triples=st.lists(_two_triples(), max_size=12),
-    tiers=st.sampled_from([(2, 2, 8), (8, 4, 64), (conditions._PREFIX, conditions._GROW, conditions._BATCH)]),
+    cut=st.sampled_from(_CUTS),
     cap=st.sampled_from([conditions.OBSTRUCTION_CAP, 40]),
 )
-def test_condition1_with_two_matches_binomials(triples, tiers, cap):
+def test_condition1_with_two_matches_binomials(triples, cut, cap):
     ns, ps, rs = (np.array(col, dtype=np.int64) for col in zip(*(_TWO_ANCHORS + triples)))
-    cp, cr, picked = _sizes(ns, ps, rs)
-    assert (picked > np.minimum(cp, cr)).any()
-    # enumerated sets of at most the prefix, within one tile, and split across tiles
-    prefix, grow, batch = tiers
-    if batch < conditions._BATCH:
-        assert set(((picked > prefix).astype(int) + (picked > batch)).tolist()) == {0, 1, 2}
+    cp, cr = _counts(ns, ps, rs)
     if cap < conditions.OBSTRUCTION_CAP:
-        assert (np.minimum(cp, cr) > cap).any() and ((picked > cap) & (np.minimum(cp, cr) <= cap)).any()
+        # condition1_holds leapfrogs where both sets are above the cap, else enumerates one
+        assert (np.minimum(cp, cr) > cap).any() and ((np.maximum(cp, cr) > cap) & (np.minimum(cp, cr) <= cap)).any()
     want = [_binomials_covered(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
     assert set(want) == {False, True}
-    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch, OBSTRUCTION_CAP=cap):
-        # the rule never enumerates a set above the cap while the other is within it
-        picked = _sizes(ns, ps, rs)[2]
-        assert ((picked <= cap) | (np.minimum(cp, cr) > cap)).all()
+    with mock.patch.multiple(conditions, _CUT=cut, OBSTRUCTION_CAP=cap):
         assert _condition1_many(ns, ps, rs).tolist() == want
         assert [condition1_holds(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)] == want
 
 
-@pytest.mark.parametrize("tiers", [(2, 2, 8), (8, 4, 64), (conditions._PREFIX, conditions._GROW, conditions._BATCH)])
-@pytest.mark.parametrize("triple, base", [((665, 7, 2), 7), ((525, 7, 2), 7), ((870, 2, 11), 11)])
-def test_condition1_many_tests_each_member_of_a_holding_set_once(monkeypatch, tiers, triple, base):
-    tested = []
-    real = conditions._members
+@pytest.mark.parametrize("cut", _CUTS)
+@pytest.mark.parametrize("triple", [(665, 7, 2), (525, 7, 2), (870, 2, 11), (46800, 2, 149)])
+def test_condition1_many_leapfrogs_over_the_members_of_a_holding_triple(monkeypatch, cut, triple):
+    n, p, r = triple
+    landed = []
+    real = conditions._least_member
 
-    def spy(*args):
-        members = real(*args)
-        tested.extend(members.tolist())
-        return members
+    def spy(x, n, base, place, digs):
+        k = real(x, n, base, place, digs)
+        landed.append((int(base[0]), k.tolist()))
+        return k
 
-    monkeypatch.setattr(conditions, "_members", spy)
-    prefix, grow, batch = tiers
-    with mock.patch.multiple(conditions, _PREFIX=prefix, _GROW=grow, _BATCH=batch):
-        assert _condition1_many(*(np.array([x], dtype=np.int64) for x in triple)).tolist() == [True]
-    assert sorted(tested) == obstructions(triple[0], base).members.tolist()
+    monkeypatch.setattr(conditions, "_least_member", spy)
+    monkeypatch.setattr(conditions, "_CUT", cut)
+    assert _condition1_many(*(np.array([v], dtype=np.int64) for v in triple)).tolist() == [True]
+    # each round steps in base 2, then in the other base
+    odd = p if r == 2 else r
+    assert [base for base, _ in landed] == [2, odd] * (len(landed) // 2)
+    # n, past the end of every cursor, is dominated in both bases
+    members = {q: obstructions(n, q).members.tolist() + [n] for q in (p, r)}
+    for base, ks in landed:
+        assert set(ks) <= set(members[base])
+    if cut == 1:
+        # one cursor: strictly ascending members of both sets, at most min(cp, cr) + 1 rounds
+        for q in (p, r):
+            ks = [k for base, (k,) in landed if base == q]
+            assert ks == sorted(set(ks))
+        assert len(landed) // 2 <= min(len(members[p]), len(members[r]))
 
 
 def _naive_dominated(k, n, base):
@@ -272,32 +270,46 @@ def test_dominated_mask_matches_digit_loop(n, base, fractions, compact):
         assert _dominated_mask(ks, n, base).tolist() == want
 
 
+def _naive_least_member(x, n, base):
+    """The least k >= x whose base digits are at most those of n, 0 <= x <= n:
+    x if its digits are, else the least such k above it with last digit 0."""
+    if x == 0:
+        return 0
+    (xh, xl), (nh, nl) = divmod(x, base), divmod(n, base)
+    if xl > nl:
+        return _naive_least_member(xh + 1, nh, base) * base
+    kh = _naive_least_member(xh, nh, base)
+    return x if kh == xh else kh * base
+
+
+def _least_members(rows):
+    """_least_member on rows (x, n, base), bases mixed."""
+    x, ns, bases = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    place, digs, _ = _digit_table(np.where(bases == 2, 0, ns), bases)
+    return _least_member(x, ns, bases, place, digs).tolist()
+
+
+def test_least_member_matches_an_upward_scan():
+    rows = [(x, n, base) for n in range(1, 201) for base in (2, 3, 5, 7) for x in range(n + 1)]
+    want = []
+    for x, n, base in rows:
+        k = x
+        while not _naive_dominated(k, n, base):
+            k += 1
+        want.append(k)
+    assert _least_members(rows) == want
+
+
+@st.composite
+def _least_member_rows(draw):
+    n = draw(st.integers(1, 10**8) | st.integers(2**62, 2**63 - 1))
+    return draw(st.integers(0, n)), n, draw(_BASES)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(st.tuples(st.integers(0, 10**7), _BASES, st.floats(0.0, 1.0)), max_size=60),
-    compact=st.sampled_from([0, 3, 1024]),
-)
-def test_dominated_mask_per_entry_n_and_base(rows, compact):
-    ns = np.array([n for n, _, _ in rows], dtype=np.int64)
-    bases = np.array([b for _, b, _ in rows], dtype=np.int64)
-    ks = np.array([int(f * n) for n, _, f in rows], dtype=np.int64)
-    want = [_naive_dominated(int(k), int(n), int(b)) for k, n, b in zip(ks, ns, bases)]
-    with mock.patch.object(conditions, "_COMPACT", compact):
-        assert _dominated_mask(ks, ns, bases).tolist() == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(1, 10**6), _BASES, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
-def test_members_are_slices_of_the_ascending_dominated_values(rows):
-    # the batched builder against the one-set builder, on ranges [lo, hi)
-    ns = np.array([n for n, _, _, _ in rows], dtype=np.int64)
-    radix, place, _ = _digit_slots(ns, np.array([b for _, b, _, _ in rows], dtype=np.int64))
-    want, lo, hi = [], [], []
-    for (n, b, f, g), count in zip(rows, radix.prod(axis=0).tolist()):
-        lo.append(int(f * (count - 1)))
-        hi.append(lo[-1] + 1 + int(g * (count - 1 - lo[-1])))
-        want += conditions._dominated_values(n, b)[lo[-1] : hi[-1]].tolist()
-    assert conditions._members(radix, place, np.array(lo), np.array(hi)).tolist() == want
+@given(rows=st.lists(_least_member_rows(), min_size=1, max_size=30))
+def test_least_member_matches_the_digit_recursion(rows):
+    assert _least_members(rows) == [_naive_least_member(*row) for row in rows]
 
 
 def test_a_scan_builds_one_prime_table_for_its_whole_range():
