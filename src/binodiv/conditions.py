@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 OBSTRUCTION_CAP = 1 << 20
-# _condition1_many cuts the ranges of its cursors while fewer than this are live
+# _condition1_many cuts ranges to refill about this many cursors once at most half are live
 _CUT = 256
 # _dominated_mask compacts its arrays while more entries than this remain
 _COMPACT = 1024
@@ -175,9 +175,9 @@ def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
     the other set >= that: the triple fails when both land on the same
     k < end, and the cursor is done once it passes end.  The members a
     cursor lands on ascend in both sets, so for sets of cp and cr members it
-    takes at most min(cp, cr) + 1 rounds.  While fewer than _CUT cursors are live, each live range is cut
-    into equal parts, so that the last triples still move about _CUT
-    cursors a round.
+    takes at most min(cp, cr) + 1 rounds.  Once at most _CUT // 2 cursors
+    are live, each live range is cut into _CUT // live equal parts, so that
+    the last triples still move about _CUT cursors a round.
     """
     holds = np.ones(ns.size, dtype=bool)
     two = rs == 2

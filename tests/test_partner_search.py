@@ -180,10 +180,12 @@ def _binomials_covered(n, p, r):
 
 
 # pairs with 2: (870, 2, 11) and (1263, 2, 23) have both sets above 40
-# members, (665, 7, 2) and (525, 7, 2) one; the set of (107, 107, 2) is empty
+# members; (665, 7, 2) and (525, 7, 2) enumerate their larger set, one above
+# 40; the cost of (53, 2, 3) alone would pick its base-3 set, also above 40;
+# the set of (107, 107, 2) is empty
 _TWO_ANCHORS = [
     (665, 7, 2), (525, 7, 2), (1263, 2, 23), (870, 2, 11), (481, 2, 199),
-    (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2),
+    (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2), (53, 2, 3),
 ]
 _BELOW_1600 = [int(q) for q in primes_upto(1600)]
 
@@ -211,7 +213,28 @@ def test_condition1_with_two_matches_binomials(triples, cut, cap):
     assert set(want) == {False, True}
     with mock.patch.multiple(conditions, _CUT=cut, OBSTRUCTION_CAP=cap):
         assert _condition1_many(ns, ps, rs).tolist() == want
-        assert [condition1_holds(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)] == want
+        runs = [_enumerating(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
+    assert [holds for holds, _ in runs] == want
+    # one set a triple unless both are above the cap, and never one above it
+    assert [len(sizes) for _, sizes in runs] == (np.minimum(cp, cr) <= cap).tolist()
+    assert all(size <= cap for _, sizes in runs for size in sizes)
+    if cap == conditions.OBSTRUCTION_CAP:
+        # the cost rule, not the size, picks the set
+        assert any(sizes and sizes[0] > min(a, b) for (_, sizes), a, b in zip(runs, cp, cr))
+
+
+def _enumerating(n, p, r):
+    """condition1_holds(n, p, r) and the sizes of the sets it enumerates."""
+    sizes = []
+    real = conditions._dominated_values
+
+    def spy(n, q):
+        values = real(n, q)
+        sizes.append(values.size - 2)
+        return values
+
+    with mock.patch.object(conditions, "_dominated_values", spy):
+        return condition1_holds(n, p, r), sizes
 
 
 @pytest.mark.parametrize("cut", _CUTS)
