@@ -113,7 +113,7 @@ def primes_upto(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -254,14 +254,19 @@ def is_prime_power(n: int) -> PrimePower | None:
 
 
 def largest_prime_power_below(n: int) -> PrimePower:
-    """The largest prime power strictly less than n, for n >= 3.
-
-    Downward search; prime gaps keep this short for any 64-bit n.
+    """The largest prime power strictly less than n, for n >= 3: the largest
+    prime below n unless, for some e >= 2, the first prime r down from the
+    e-th root of n - 1 has r**e above it (prime gaps keep each search short).
     """
     if n < 3:
         raise ValueError("largest_prime_power_below expects n >= 3")
-    for m in range(n - 1, 1, -1):
-        pp = is_prime_power(m)
-        if pp is not None:
-            return pp
-    raise AssertionError("unreachable: 2 is a prime power")
+    m = next(m for m in range(n - 1, 1, -1) if is_prime(m))
+    best = PrimePower(m, 1, m)
+    for e in range(2, (n - 1).bit_length()):
+        r = _iroot(n - 1, e)
+        while r**e > best.value:
+            if is_prime(r):
+                best = PrimePower(r, e, r**e)
+                break
+            r -= 1
+    return best

@@ -185,7 +185,10 @@ def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
     sets = [(b, *_digit_table(np.where(b == 2, 0, ns), b)) for b in (np.where(two, 2, ps), np.where(two, ps, rs))]
     tid = np.flatnonzero(ns > 1)
     x, end = np.ones_like(tid), ns[tid]
-    while tid.size:
+    # each round moves every live cursor up, so none lasts max(ns) rounds
+    for _ in range(int(ns.max(initial=1))):
+        if not tid.size:
+            return holds
         if (parts := _CUT // tid.size) > 1:
             tid, x, end = _cut(tid, x, end, parts)
         n, k = ns[tid], x
@@ -195,7 +198,7 @@ def _condition1_many(ns: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> np.ndarr
         holds[tid[(a == k) & (k < end)]] = False
         live = (k < end) & holds[tid]
         tid, x, end = tid[live], k[live], end[live]
-    return holds
+    raise AssertionError("a leapfrog cursor did not advance")
 
 
 def _cut(tid: np.ndarray, x: np.ndarray, end: np.ndarray, parts: int):

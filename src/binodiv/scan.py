@@ -172,12 +172,11 @@ def _check_scan(lo: int, hi: int, mode: str) -> int:
 # shared prime tables
 
 
+# the primes up to cap and up to sqrt(cap); each chunk finds its own prime powers
 @dataclass(frozen=True)
 class _ScanContext:
     cap: int
     primes: np.ndarray
-    pp_values: np.ndarray
-    pp_primes: np.ndarray
     sqrt_primes: np.ndarray
 
 
@@ -198,19 +197,8 @@ def _round_cap(hi: int) -> int:
 @lru_cache(maxsize=2)
 def _context(cap: int) -> _ScanContext:
     ps = primes_upto(cap)
-    vals = [ps]
-    bases = [ps]
-    e = 2
-    while 2**e <= cap:
-        sub = ps[: int(np.searchsorted(ps, _iroot(cap, e), side="right"))]
-        vals.append(sub.astype(np.int64) ** e)
-        bases.append(sub)
-        e += 1
-    values = np.concatenate(vals)
-    value_bases = np.concatenate(bases)
-    order = np.argsort(values, kind="stable")
     sqrt_primes = ps[: int(np.searchsorted(ps, _iroot(cap, 2), side="right"))]
-    return _ScanContext(cap, ps, values[order], value_bases[order], sqrt_primes)
+    return _ScanContext(cap, ps, sqrt_primes)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +450,14 @@ def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkRe
     ctx = _context(cap)
     ns = np.arange(a, b + 1, dtype=np.int64)
     lppd_val, lppd_p, base_part = _lppd_arrays(ctx, ns, pinned)
-    idx = np.searchsorted(ctx.pp_values, ns, side="left") - 1
-    prevpp = ctx.pp_values[idx]
-    prev_base = ctx.pp_primes[idx]
+    # n is a prime power exactly when it is its own lppd; the largest prime
+    # power below any other n is the last one in the chunk before n, or else
+    # the one below a (the rows of prime powers never read it)
+    pp_mask = lppd_val == ns
+    last = np.maximum.accumulate(np.where(pp_mask, np.arange(ns.size), -1))
+    below = largest_prime_power_below(a)
+    prevpp = np.where(last >= 0, ns[last], below.value)
+    prev_base = np.where(last >= 0, lppd_p[last], below.prime)
     # each n's base prime and its largest power below n; with nothing
     # pinned the base is the lppd's prime and has no power below, which
     # leaves window B empty
@@ -480,7 +473,6 @@ def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkRe
     rb = np.zeros(ns.size, dtype=np.int64)
 
     # n = q**e pairs q with the base prime (q itself unless another is pinned)
-    pp_mask = lppd_val == ns
     stage[pp_mask] = np.where(lppd_p[pp_mask] == base[pp_mask], _PRIME_POWER, _DIRECT)
     wp[pp_mask], wr[pp_mask] = lppd_p[pp_mask], base[pp_mask]
     # window A: the base prime's part of n and the largest prime power

@@ -2,7 +2,8 @@
 
 Direct, slower routes to quantities the package decides another way:
 exact equipartition indices, group orders by breadth-first closure, Dickman
-rho tabulated on a mesh, and the prime-order window pair.
+rho tabulated on a mesh, the prime-order window pair, and the largest prime
+power below n by a downward scan.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from binodiv.arith import factorize, is_prime
+from binodiv.arith import PrimePower, factorize, is_prime, is_prime_power
 from binodiv.density import U_MAX, _panels
 from binodiv.kummer import _check_block
 from binodiv.permgroup import Permutation
@@ -127,3 +128,10 @@ def condition5_sieve_pair(n: int) -> tuple[int, int] | None:
     if r >= 2 and r + p > n:
         return (p, r)
     return None
+
+
+def largest_prime_power_below_by_scan(n: int) -> PrimePower:
+    """The largest prime power below n >= 3, testing n - 1, n - 2, ... in turn."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return next(pp for m in range(n - 1, 1, -1) if (pp := is_prime_power(m)) is not None)

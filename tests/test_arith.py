@@ -19,6 +19,7 @@ from binodiv.arith import (
     largest_prime_power_divisor,
     primes_upto,
 )
+from oracles import largest_prime_power_below_by_scan
 
 
 def test_primes_upto_small():
@@ -181,3 +182,19 @@ def test_largest_prime_power_below_at_powers():
     assert largest_prime_power_below(9).value == 8
     assert largest_prime_power_below(10).value == 9
     assert largest_prime_power_below(128).value == 127
+
+
+def test_largest_prime_power_below_up_to_10_8():
+    rng = random.Random(20)
+    for n in (rng.randrange(10**6, 10**8) for _ in range(1000)):
+        assert largest_prime_power_below(n) == largest_prime_power_below_by_scan(n), n
+
+
+def test_largest_prime_power_below_just_above_proper_prime_powers():
+    # every q**e, e >= 2, in [10**6, 10**8), and the powers of 2 and 3 up to 2**62
+    proper = [q**e for q in primes_upto(10**4).tolist() for e in range(2, 27) if 10**6 <= q**e < 10**8]
+    proper += [2**e for e in range(2, 63)] + [3**e for e in range(2, 40)]
+    assert len(proper) > 1000
+    for value in proper:
+        for n in (value + 1, value + 2, value + 3):
+            assert largest_prime_power_below(n) == largest_prime_power_below_by_scan(n), n

@@ -5,9 +5,8 @@ condition2_direct, so it shares no filtering, batching or candidate
 generation with the scanner.
 """
 
-import math
 import random
-from functools import lru_cache
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -174,9 +173,15 @@ def test_condition1_many_matches_the_family_route(triples, cut):
         assert _condition1_many(ns, ps, rs).tolist() == want
 
 
-@lru_cache(maxsize=None)
+@cache
 def _binomials_covered(n, p, r):
-    return all(math.comb(n, k) % p == 0 or math.comb(n, k) % r == 0 for k in range(1, n))
+    # c runs through C(n, 1), ..., C(n, n - 1), one product and one division a step
+    c = 1
+    for k in range(1, n):
+        c = c * (n - k + 1) // k
+        if c % p and c % r:
+            return False
+    return True
 
 
 # pairs with 2: (870, 2, 11) and (1263, 2, 23) have both sets above 40

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binodiv import arith, scan
-from binodiv.arith import PrimePower, is_prime, is_prime_power, primes_upto
+from binodiv.arith import PrimePower, is_prime, is_prime_power, largest_prime_power_below, primes_upto
 from binodiv.conditions import condition1_holds, condition2_direct
 from binodiv.scan import (
     CHUNK,
@@ -237,6 +239,39 @@ def test_scan_across_chunk_boundary():
     assert [r.n for r in records] == list(range(lo, hi + 1))
     for rec in records:
         assert scan_one(rec.n) == rec
+
+
+# starts just above the proper power 2**20 and just above the prime 1,000,003,
+# and one chunk below a seam under 10**7; each scan runs 300 n into a second chunk
+@pytest.mark.parametrize(
+    "lo, mode",
+    [(2**20 + 1, "any"), (2**20 + 1, "with-two"), (1_000_004, "any"), (1_000_004, "with-two"), (10**7 - CHUNK - 700, "any")],
+)
+def test_window_columns_match_the_scalar_route_across_chunk_seams(lo, mode):
+    records = list(iter_scan(lo, lo + CHUNK + 299, mode, workers=2))
+    rng = random.Random(lo)
+    picked = set(range(300)) | set(range(CHUNK, CHUNK + 300)) | set(rng.sample(range(len(records)), 600))
+    for rec in (records[i] for i in sorted(picked)):
+        n = rec.n
+        if is_prime_power(n) is not None:
+            continue
+        if mode == "any":
+            # sieve records carry the scalar pair, and every other record has none
+            assert rec.sieve_pair == sieve_pair_for(n), n
+            continue
+        # window A pairs n's part of 2 with the largest prime power below n
+        below = largest_prime_power_below(n).value
+        in_a = rec.stage == "sieve" and rec.witness[0] == 2
+        assert in_a == (below + (n & -n) > n), n
+        if in_a:
+            assert rec.sieve_pair[1].value == below, n
+
+
+def test_scan_context_holds_no_table_beyond_the_primes():
+    ctx = scan._context(10**7)
+    arrays = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
+    nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert nbytes <= ctx.primes.nbytes + ctx.sqrt_primes.nbytes
 
 
 def test_progress_callback_reports_cumulative_counts():
