@@ -201,6 +201,72 @@ def _context(cap: int) -> _ScanContext:
     return _ScanContext(cap, ps, sqrt_primes)
 
 
+def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int | None = None):
+    """Factor blocks of consecutive integers over primes.
+
+    Block i holds the sizes[i] integers up to ends[i]; the blocks lie end to
+    end in slots.  Returns per slot the integer with the part of every prime
+    of primes divided out, its largest such prime-power part and that
+    part's prime (1 and 1 where none divides it), and the pinned prime's
+    part (the largest part itself when none is pinned); and the pairs (i, q)
+    with q dividing an integer of block i, ascending in i and then q.
+
+    A lone block strides through the multiples of each prime up to the root
+    of its length, as there are many.  Every other prime gives all of its
+    multiples at once as hits, which are sorted by slot and reduced per slot.
+    """
+    start = np.cumsum(sizes) - sizes
+    rem = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(ends - sizes + 1 - start, sizes)
+    top, top_q = np.ones_like(rem), np.ones_like(rem)
+    pin = top if pinned is None else np.ones_like(rem)
+    # q divides an integer of block i exactly when ends[i] mod q < sizes[i]
+    back = ends[:, None] % primes
+    i, j = np.nonzero(back < sizes[:, None])
+    strided = primes[:0]
+    if sizes.size == 1:
+        lo, hi = int(rem[0]), int(rem[-1])
+        strided = primes[: int(np.searchsorted(primes, _iroot(hi - lo + 1, 2), side="right"))]
+    for q in strided.tolist():
+        sl = slice(-lo % q, None, q)
+        # the multiples of q**e lie every q**(e - 1) places along those of q
+        part, power = np.full(rem[sl].size, q, dtype=np.int64), q * q
+        while power <= hi:
+            part[-lo % power // q :: power // q] *= q
+            power *= q
+        rem[sl] //= part
+        if q == pinned:
+            pin[sl] = part
+        upd = part > top[sl]
+        np.copyto(top[sl], part, where=upd)
+        np.copyto(top_q[sl], q, where=upd)
+    # the hits of every other prime, stepping down from its last multiple in
+    # each block; one key per hit sorts them by slot and then prime
+    far = j >= strided.size
+    last = (start + sizes - 1)[i[far]] - back[i[far], j[far]]
+    count = (last - start[i[far]]) // primes[j[far]] + 1
+    h = np.repeat(np.arange(last.size), count)
+    step = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)
+    key = np.sort((last[h] - primes[j[far]][h] * step) * primes.size + j[far][h])
+    slot, jq = key // primes.size, key % primes.size
+    q = primes[jq]
+    v, part = rem[slot] // q, q.copy()
+    at = np.flatnonzero(v % q == 0)
+    while at.size:
+        v[at] //= q[at]
+        part[at] *= q[at]
+        at = at[v[at] % q[at] == 0]
+    first = np.flatnonzero(np.diff(slot, prepend=-1))
+    own = slot[first]
+    rem[own] //= np.multiply.reduceat(part, first)
+    # distinct primes have distinct parts, so the largest part names its prime
+    big = np.maximum.reduceat(part * primes.size + jq, first)
+    upd = big // primes.size > top[own]
+    top[own[upd]], top_q[own[upd]] = big[upd] // primes.size, primes[big[upd] % primes.size]
+    if pinned is not None:
+        pin[slot[q == pinned]] = part[q == pinned]
+    return rem, top, top_q, pin, (i, primes[j])
+
+
 # ---------------------------------------------------------------------------
 # scalar operations
 
@@ -230,11 +296,10 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r), the least of which is
     k0 = p**v_p(n); so the candidates are the prime divisors of C(n, k0).
-    They come from _term_divisors, or, where factoring the k0 numerator
-    terms costs more remainders than there are primes below n, from
-    _swept.  _least_verified decides the candidates below _SMALL_BOUND
-    first, then the rest of the pairs still open.  Pairs go _GROUP at a
-    time.
+    They come from _term_divisors, or, where sieving the k0 numerator
+    terms may make more hits than there are primes below n, from _swept.
+    _least_verified decides the candidates below _SMALL_BOUND first, then
+    the rest of the pairs still open.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
     split = int(np.searchsorted(primes, _SMALL_BOUND))
@@ -244,8 +309,9 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
         k0 = np.ones_like(n)
         while (more := n % (k0 * p) == 0).any():
             k0[more] *= p[more]
-        # factoring takes k0 remainders per prime up to sqrt(n), the sweep one per prime below n
-        root_pi, n_pi = np.searchsorted(primes, (np.sqrt(n), n), side="right")
+        # sieving the terms makes at most k0 hits per prime up to sqrt(n), the sweep one remainder per prime below n
+        # integer keys, as float keys cast the whole table; the float root is exact below 2**52
+        root_pi, n_pi = np.searchsorted(primes, np.stack((np.sqrt(n).astype(np.int64), n)), side="right")
         sweep = k0 * root_pi > n_pi
         owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep), primes)
         for band, in_band in ((primes[:split], qs < _SMALL_BOUND), (primes[split:], qs >= _SMALL_BOUND)):
@@ -258,26 +324,19 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
 
 def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, primes: np.ndarray):
     """The pairs (i, q), i in rows, with q a prime dividing C(ns[i], ks[i]),
-    ascending in i and then q, by factoring the numerator terms
-    ns[i] - ks[i] + 1, ..., ns[i]; the prime table must reach sqrt(ns).
-
-    A prime q divides one of the k consecutive terms ending at n exactly
-    when n mod q < k.  After division by the primes up to sqrt(max ns),
-    what is left of a term is 1 or a prime.
+    ascending in i and then q, by sieving the numerator terms
+    ns[i] - ks[i] + 1, ..., ns[i] as one block each; the prime table must
+    reach sqrt(ns).  After division by the primes up to sqrt(max ns), what
+    is left of a term is 1 or a prime.
     """
     n, k = ns[rows], ks[rows]
     low = primes[: int(np.searchsorted(primes, _iroot(int(n.max(initial=0)), 2), side="right"))]
-    i, j = np.nonzero(n[:, None] % low < k[:, None])
-    term = np.repeat(np.arange(rows.size), k)
-    rem = n[term] - np.arange(term.size) + np.repeat(np.cumsum(k) - k, k)
-    for q in np.unique(low[j]).tolist():
-        at = np.flatnonzero(rem % q == 0)
-        while at.size:
-            rem[at] //= q
-            at = at[rem[at] % q == 0]
+    rem, _, _, _, (i, q) = _sieve(n, k, low)
     big = rem > 1
-    # one key per pair sorts by i, then q, and drops repeats
-    key = np.unique(np.concatenate((i, term[big])) * MAX_N + np.concatenate((low[j], rem[big])))
+    term = np.repeat(np.arange(rows.size), k)
+    # one key per pair sorts by i, then q; a diff drops repeats (np.unique hashes on numpy 2)
+    key = np.sort(np.concatenate((i, term[big])) * MAX_N + np.concatenate((q, rem[big])))
+    key = key[np.diff(key, prepend=-1) != 0]
     return _binomial_divisors(ns, ks, rows[key // MAX_N], key % MAX_N)
 
 
@@ -294,14 +353,23 @@ def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
 
 
 def _binomial_divisors(ns: np.ndarray, ks: np.ndarray, owner: np.ndarray, qs: np.ndarray):
-    """The pairs (owner[j], qs[j]) with qs[j] dividing C(ns[owner[j]], ks[owner[j]]),
-    by Legendre: v_q(C(n, k)) sums n // q**e - k // q**e - (n - k) // q**e over e >= 1."""
-    n, k = ns[owner], ks[owner]
-    v, power = np.zeros_like(qs), qs.copy()
+    """The pairs (owner[j], qs[j]) with qs[j] dividing C(n, k), for n =
+    ns[owner[j]] and k = ks[owner[j]]; each qs[j] must divide one of the
+    numerator terms n - k + 1, ..., n.
+
+    Such a q above k divides C(n, k): it divides the product n!/(n - k)!
+    of the terms, and not k!.  A q up to k is decided by Legendre:
+    v_q(C(n, k)) sums n // q**e - k // q**e - (n - k) // q**e over e >= 1.
+    """
+    keep = qs > ks[owner]
+    at = np.flatnonzero(~keep)
+    n, k, q = ns[owner[at]], ks[owner[at]], qs[at]
+    v, power = np.zeros_like(q), q.copy()
     while (live := power <= n).any():
         v += n // power - k // power - (n - k) // power
-        power[live] *= qs[live]
-    return owner[v > 0], qs[v > 0]
+        power[live] *= q[live]
+    keep[at] = v > 0
+    return owner[keep], qs[keep]
 
 
 def _least_verified(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
@@ -373,35 +441,8 @@ def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray, pinned: int | None):
     """Largest prime-power divisor (value, base) for each n in the block,
     and the base prime's part of each n: the pinned prime's part, or the
     lppd value itself when nothing is pinned."""
-    first = int(ns[0])
-    top = int(ns[-1])
-    rem = ns.copy()
-    best_val = np.ones(ns.size, dtype=np.int64)
-    best_p = np.ones(ns.size, dtype=np.int64)
-    base_part = best_val if pinned is None else np.ones(ns.size, dtype=np.int64)
-    for q in ctx.sqrt_primes:
-        q = int(q)
-        if q * q > top:
-            break
-        start = (-first) % q
-        if start >= ns.size:
-            continue
-        sl = slice(start, None, q)
-        sub = rem[sl]
-        part = np.full(sub.size, q, dtype=np.int64)
-        sub //= q
-        idxs = np.flatnonzero(sub % q == 0)
-        while idxs.size:
-            sub[idxs] //= q
-            part[idxs] *= q
-            idxs = idxs[sub[idxs] % q == 0]
-        if q == pinned:
-            base_part[sl] = part
-        bv = best_val[sl]
-        bp = best_p[sl]
-        upd = part > bv
-        bv[upd] = part[upd]
-        bp[upd] = q
+    primes = ctx.sqrt_primes[: int(np.searchsorted(ctx.sqrt_primes, _iroot(int(ns[-1]), 2), side="right"))]
+    rem, best_val, best_p, base_part, _ = _sieve(ns[-1:], np.array([ns.size]), primes, pinned)
     # whatever survives trial division is 1 or a single prime above sqrt
     upd = rem > best_val
     best_val[upd] = rem[upd]

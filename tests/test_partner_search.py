@@ -371,14 +371,17 @@ def _k0(n, p):
 
 def test_term_divisors_are_the_prime_divisors_of_the_binomial():
     rng = random.Random(11)
-    ns, ks = [80, 98304, 2 * 3**9], [16, 32768, 3**9]  # 3 divides a term of C(80, 16), not the binomial
+    # a prime q <= k dividing a term but not the binomial: 3 for C(80, 16),
+    # 2 for C(12, 4) and C(15, 3), 5 = k for C(30, 5), 5 and 7 for C(24, 8),
+    # 5, 11, 13, 19 and 23 for C(54, 27)
+    ns, ks = [80, 98304, 2 * 3**9, 12, 15, 30, 24, 54], [16, 32768, 3**9, 4, 3, 5, 8, 27]
     while len(ns) < 40:
         n = rng.randrange(9, 10**5)
         if is_prime_power(n) is None:
             p = rng.choice(factorize(n).primes() + (2, 3, 5, 7))
             ns.append(n)
             ks.append(_k0(n, p))
-    rows = np.array(sorted(rng.sample(range(len(ns)), 30) + [0, 1, 2]), dtype=np.int64)
+    rows = np.array(sorted(set(rng.sample(range(len(ns)), 30)) | set(range(8))), dtype=np.int64)
     owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows, _PRIMES)
     want = [(i, int(q)) for i in rows.tolist() for q in primes_upto(ns[i] - 1) if valuation_binomial(ns[i], ks[i], int(q)) > 0]
     assert list(zip(owner.tolist(), qs.tolist())) == want

@@ -274,6 +274,25 @@ def test_scan_context_holds_no_table_beyond_the_primes():
     assert nbytes <= ctx.primes.nbytes + ctx.sqrt_primes.nbytes
 
 
+_SMALL_PRIMES_CTX = scan._ScanContext(MAX_N, primes_upto(10**4), primes_upto(10**4))
+
+
+@pytest.mark.parametrize("width", [1, 2, 511, 512, CHUNK])
+@pytest.mark.parametrize("lo", [9, 2**20 - 511, 2**20 + 1, 1009**2 - 511, 1009**2 - 1, 1009**2 + 1, MAX_N - CHUNK])
+def test_lppd_arrays_match_the_scalar_divisor(lo, width):
+    # the sieve reads only the primes up to 10**4, so no table up to MAX_N is built
+    ns = np.arange(lo, lo + width, dtype=np.int64)
+    val, base, part = scan._lppd_arrays(_SMALL_PRIMES_CTX, ns, None)
+    _, _, two_part = scan._lppd_arrays(_SMALL_PRIMES_CTX, ns, 2)
+    rng = random.Random(lo + width)
+    picked = set(range(min(width, 512))) | set(range(max(width - 512, 0), width)) | set(rng.sample(range(width), min(width, 500)))
+    for i in sorted(picked):
+        n = lo + i
+        want = arith.largest_prime_power_divisor(n)
+        assert (int(val[i]), int(base[i]), int(part[i])) == (want.value, want.prime, want.value), n
+        assert int(two_part[i]) == n & -n, n
+
+
 def test_progress_callback_reports_cumulative_counts():
     seen = []
     scan_range(9, CHUNK + 100, progress=seen.append)
