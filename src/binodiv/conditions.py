@@ -144,9 +144,13 @@ def _condition1(n: int, p: int, r: int) -> bool:
     """Enumerates the base-p set (cp members; sp digit steps to test a k in
     base p) over the base-r set when testing it in base r costs no more, and
     never one above OBSTRUCTION_CAP while the other is within it.  Either
-    set gives the same verdict."""
+    set gives the same verdict.  A prime above n, which may not fit the
+    int64 kernels, is decided first: every k is carry-free in its base, so
+    the pair holds exactly when the other set is empty."""
     dp, dr = digits(n, p), digits(n, r)
     cp, cr = (math.prod(d + 1 for d in ds) - 2 for ds in (dp, dr))
+    if max(p, r) > n:
+        return min(cp, cr) == 0
     if min(cp, cr) > OBSTRUCTION_CAP:
         return bool(_condition1_many(*(np.array([v], dtype=np.int64) for v in (n, p, r)))[0])
     sp, sr = (1 if q == 2 else len(ds) for q, ds in ((p, dp), (r, dr)))

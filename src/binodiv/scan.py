@@ -26,7 +26,6 @@ import time
 from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -69,7 +68,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-# the largest n any scan or search accepts; see _round_cap
+# the largest n any scan or search accepts
 MAX_N = 10**8
 MODES = ("any", "with-two")
 # the prime every pair must contain, per mode
@@ -158,47 +157,31 @@ def _check_scan_n(n: int) -> None:
         raise ValueError(f"need n >= 9, got {n}")
 
 
-def _check_scan(lo: int, hi: int, mode: str) -> int:
-    """Refuse a bad range or mode, or hi above MAX_N, before any table is
-    built or any output written; returns the table cap for hi."""
+def _check_max_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, whose square root bounds the scan's prime table, got {n}")
+
+
+def _check_scan(lo: int, hi: int, mode: str) -> None:
+    """Refuse a bad range or mode, or hi above MAX_N, before any output is
+    written."""
     if lo < 9 or hi < lo:
         raise ValueError(f"need 9 <= lo <= hi, got [{lo}, {hi}]")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _round_cap(hi)
+    _check_max_n(hi)
 
 
 # ---------------------------------------------------------------------------
-# shared prime tables
+# block sieve
+
+# the primes up to sqrt(MAX_N), which factor every n of a scan or search
+_ROOT_PRIMES = primes_upto(_iroot(MAX_N, 2))
 
 
-# the primes up to cap and up to sqrt(cap); each chunk finds its own prime powers
-@dataclass(frozen=True)
-class _ScanContext:
-    cap: int
-    primes: np.ndarray
-    sqrt_primes: np.ndarray
-
-
-def _round_cap(hi: int) -> int:
-    """The table cap for n up to hi: the least power of ten >= max(hi, 10**6).
-
-    Refuses hi above MAX_N, the largest cap whose tables have been measured,
-    before any table is built.
-    """
-    if hi > MAX_N:
-        raise ValueError(f"n must be at most {MAX_N} (prime tables are built up to there), got {hi}")
-    cap = 1_000_000
-    while cap < hi:
-        cap *= 10
-    return cap
-
-
-@lru_cache(maxsize=2)
-def _context(cap: int) -> _ScanContext:
-    ps = primes_upto(cap)
-    sqrt_primes = ps[: int(np.searchsorted(ps, _iroot(cap, 2), side="right"))]
-    return _ScanContext(cap, ps, sqrt_primes)
+def _root_primes(top: int) -> np.ndarray:
+    """The primes up to sqrt(top), top <= MAX_N."""
+    return _ROOT_PRIMES[: int(np.searchsorted(_ROOT_PRIMES, _iroot(top, 2), side="right"))]
 
 
 def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int | None = None):
@@ -287,33 +270,33 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
     return None
 
 
-def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.ndarray:
+def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
     ps[i], r), or 0 where there is none; no n may be a prime power, so
     Condition (1) decides each pair (by the lemma of
-    conditions._condition1_many), and the prime table must reach every n.
+    conditions._condition1_many).
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r), the least of which is
     k0 = p**v_p(n); so the candidates are the prime divisors of C(n, k0).
-    They come from _term_divisors, or, where sieving the k0 numerator
-    terms may make more hits than there are primes below n, from _swept.
+    They come from _term_divisors, or, where the k0 numerator terms would
+    make a block longer than a chunk, from _swept over the primes below the
+    group's largest such n.  A scan never sweeps: its residual n fail
+    window A, so k0 is at most n minus the prime power below n.
     _least_verified decides the candidates below _SMALL_BOUND first, then
     the rest of the pairs still open.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
-    split = int(np.searchsorted(primes, _SMALL_BOUND))
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
         n, p = ns[g], ps[g]
         k0 = np.ones_like(n)
         while (more := n % (k0 * p) == 0).any():
             k0[more] *= p[more]
-        # sieving the terms makes at most k0 hits per prime up to sqrt(n), the sweep one remainder per prime below n
-        # integer keys, as float keys cast the whole table; the float root is exact below 2**52
-        root_pi, n_pi = np.searchsorted(primes, np.stack((np.sqrt(n).astype(np.int64), n)), side="right")
-        sweep = k0 * root_pi > n_pi
-        owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep), primes)
+        sweep = k0 > CHUNK
+        owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep))
+        primes = primes_upto(int(n[sweep].max())) if sweep.any() else _ROOT_PRIMES[:0]
+        split = int(np.searchsorted(primes, _SMALL_BOUND))
         for band, in_band in ((primes[:split], qs < _SMALL_BOUND), (primes[split:], qs >= _SMALL_BOUND)):
             more_owner, more_qs = _swept(n, k0, np.flatnonzero(sweep & (found[g] == 0)), band)
             o, q = np.concatenate((owner[in_band], more_owner)), np.concatenate((qs[in_band], more_qs))
@@ -322,16 +305,14 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray, primes: np.ndarray) -> np.nd
     return found
 
 
-def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, primes: np.ndarray):
+def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
     """The pairs (i, q), i in rows, with q a prime dividing C(ns[i], ks[i]),
     ascending in i and then q, by sieving the numerator terms
-    ns[i] - ks[i] + 1, ..., ns[i] as one block each; the prime table must
-    reach sqrt(ns).  After division by the primes up to sqrt(max ns), what
-    is left of a term is 1 or a prime.
+    ns[i] - ks[i] + 1, ..., ns[i] as one block each.  After division by the
+    primes up to sqrt(max ns), what is left of a term is 1 or a prime.
     """
     n, k = ns[rows], ks[rows]
-    low = primes[: int(np.searchsorted(primes, _iroot(int(n.max(initial=0)), 2), side="right"))]
-    rem, _, _, _, (i, q) = _sieve(n, k, low)
+    rem, _, _, _, (i, q) = _sieve(n, k, _root_primes(int(n.max(initial=0))))
     big = rem > 1
     term = np.repeat(np.arange(rows.size), k)
     # one key per pair sorts by i, then q; a diff drops repeats (np.unique hashes on numpy 2)
@@ -396,7 +377,7 @@ def direct_search(n: int, p: int) -> int | None:
     otherwise k = 1 forces r | n, so q is the only possible partner.
     """
     _check_scan_n(n)
-    cap = _round_cap(n)
+    _check_max_n(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     pp = is_prime_power(n)
@@ -406,7 +387,7 @@ def direct_search(n: int, p: int) -> int | None:
         if pp.prime < n and condition2_direct(n, p, pp.prime):
             return pp.prime
         return None
-    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64), _context(cap).primes)[0])
+    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64))[0])
     return r or None
 
 
@@ -414,7 +395,7 @@ def prime_gap_stats(hi: int) -> GapReport:
     """Largest gap and gap multiplicities over consecutive primes <= hi."""
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
-    _round_cap(hi)
+    _check_max_n(hi)
     ps = primes_upto(hi)
     gaps = np.diff(ps)
     vals, cnts = np.unique(gaps, return_counts=True)
@@ -437,12 +418,11 @@ class _ChunkResult:
     exceptions: list[ScanRecord]
 
 
-def _lppd_arrays(ctx: _ScanContext, ns: np.ndarray, pinned: int | None):
+def _lppd_arrays(ns: np.ndarray, pinned: int | None):
     """Largest prime-power divisor (value, base) for each n in the block,
     and the base prime's part of each n: the pinned prime's part, or the
     lppd value itself when nothing is pinned."""
-    primes = ctx.sqrt_primes[: int(np.searchsorted(ctx.sqrt_primes, _iroot(int(ns[-1]), 2), side="right"))]
-    rem, best_val, best_p, base_part, _ = _sieve(ns[-1:], np.array([ns.size]), primes, pinned)
+    rem, best_val, best_p, base_part, _ = _sieve(ns[-1:], np.array([ns.size]), _root_primes(int(ns[-1])), pinned)
     # whatever survives trial division is 1 or a single prime above sqrt
     upd = rem > best_val
     best_val[upd] = rem[upd]
@@ -461,21 +441,21 @@ def _pow_below(ns: np.ndarray, prime: int) -> np.ndarray:
     return table[np.searchsorted(table, ns, side="left") - 1]
 
 
-def _classify_residual(ctx: _ScanContext, ns: np.ndarray, base: np.ndarray, pinned: int | None):
+def _classify_residual(ns: np.ndarray, base: np.ndarray, pinned: int | None):
     """Stage codes and witness primes for residual n (none a prime power).
 
     Searches a partner for each n's base prime; then, when no prime is
     pinned, one more search covers every other prime divisor of the n
     still open, and each n keeps the least divisor that has a partner.
     """
-    wr = _partner_search(ns, base, ctx.primes)
+    wr = _partner_search(ns, base)
     wp = np.where(wr > 0, base, 0)
     stage = np.where(wr > 0, _DIRECT, _FAIL).astype(np.uint8)
     if pinned is None:
         still_open = np.flatnonzero(wr == 0).tolist()
         pairs = [(i, q) for i in still_open for q in factorize(int(ns[i])).primes() if q != base[i]]
         i, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        r = _partner_search(ns[i], q, ctx.primes)
+        r = _partner_search(ns[i], q)
         hit = r > 0
         # i is ascending and q ascending within each i, so an n's first hit
         # is its least divisor with a partner
@@ -484,13 +464,12 @@ def _classify_residual(ctx: _ScanContext, ns: np.ndarray, base: np.ndarray, pinn
     return stage, wp, wr
 
 
-def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
+def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
     """One staging pipeline for both modes; mode only decides the pinned
     prime, which every pair must contain (None: any pair)."""
     pinned = _PINNED[mode]
-    ctx = _context(cap)
     ns = np.arange(a, b + 1, dtype=np.int64)
-    lppd_val, lppd_p, base_part = _lppd_arrays(ctx, ns, pinned)
+    lppd_val, lppd_p, base_part = _lppd_arrays(ns, pinned)
     # n is a prime power exactly when it is its own lppd; the largest prime
     # power below any other n is the last one in the chunk before n, or else
     # the one below a (the rows of prime powers never read it)
@@ -530,7 +509,7 @@ def _classify_chunk(cap: int, a: int, b: int, mode: str, keep: bool) -> _ChunkRe
     exceptions: list[ScanRecord] = []
     res = np.flatnonzero(~(pp_mask | win_a | win_b))
     if res.size:
-        stage[res], wp[res], wr[res] = _classify_residual(ctx, ns[res], base[res], pinned)
+        stage[res], wp[res], wr[res] = _classify_residual(ns[res], base[res], pinned)
         for i in res[stage[res] >= _OTHER]:
             code = int(stage[i])
             witness = (int(wp[i]), int(wr[i])) if code == _OTHER else None
@@ -553,27 +532,26 @@ def _run_chunks(
     workers: int | None,
     keep: bool,
 ) -> Iterator[_ChunkResult]:
-    cap = _check_scan(lo, hi, mode)
-    _context(cap)  # build before any fork so workers inherit the tables
+    _check_scan(lo, hi, mode)
     bounds = _chunk_bounds(lo, hi)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(bounds) <= 1:
         for a, b in bounds:
-            yield _classify_chunk(cap, a, b, mode, keep)
+            yield _classify_chunk(a, b, mode, keep)
         return
     workers = min(workers, len(bounds))
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         it = iter(bounds)
         pending: deque[futures.Future] = deque(
-            pool.submit(_classify_chunk, cap, a, b, mode, keep)
+            pool.submit(_classify_chunk, a, b, mode, keep)
             for a, b in itertools.islice(it, workers + 2)
         )
         while pending:
             res = pending.popleft().result()
             nxt = next(it, None)
             if nxt is not None:
-                pending.append(pool.submit(_classify_chunk, cap, *nxt, mode, keep))
+                pending.append(pool.submit(_classify_chunk, *nxt, mode, keep))
             yield res
 
 

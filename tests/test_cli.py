@@ -202,6 +202,16 @@ def test_scan_csv_refusal_prints_nothing(capsys, lo, hi):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("p", [3, 101])
+def test_check_decides_a_prime_beyond_int64(capsys, p):
+    # r = 18446744073709551557 is a prime above 2**63 (and 101 > 100 as well);
+    # this triple once died in an OverflowError, exit 1 with no verdict
+    r = 18446744073709551557
+    assert main(["check", "100", str(p), str(r)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"n": 100, "p": p, "r": r, "condition1": False, "condition2": False, "route": "direct_search"}
+
+
 def test_check_refuses_n_beyond_int64(capsys):
     # this n once died in an OverflowError, exit 1 ("condition fails")
     assert main(["check", "9223372036854775837", "2", "3"]) == 2

@@ -292,3 +292,17 @@ def test_n_beyond_int64_is_refused():
     n = (1 << 63) - 25  # the largest prime below the limit
     assert not condition1_holds(n, 2, 3)
     assert not condition2_direct(n, 2, 3)
+
+
+# a prime in [2**63, 2**64): is_prime takes it, the int64 digit kernels cannot
+BIG_PRIME = 18446744073709551557
+
+
+@pytest.mark.parametrize("n, p, r", [(100, 3, BIG_PRIME), (100, 101, BIG_PRIME), (81, 3, BIG_PRIME), (81, BIG_PRIME, 3)])
+def test_a_prime_beyond_int64_is_decided_without_the_kernels(n, p, r):
+    # every k is carry-free in a base above n, so only the other prime can
+    # divide each C(n, k); 3 divides all of them exactly when n is a power of 3
+    want = all(math.comb(n, k) % p == 0 or math.comb(n, k) % r == 0 for k in range(1, n))
+    assert condition1_holds(n, p, r) == want == (n == 81)
+    if n == 100:
+        assert condition2_direct(n, p, r) is False

@@ -103,9 +103,9 @@ def test_other_divisors_are_searched_in_one_call(monkeypatch):
     calls = []
     real = scan._partner_search
 
-    def counted(ns, ps, primes):
+    def counted(ns, ps):
         calls.append(ps.tolist())
-        return real(ns, ps, primes)
+        return real(ns, ps)
 
     monkeypatch.setattr(scan, "_partner_search", counted)
     # the first other divisor, 2, has no partner; the next, 3, has 5
@@ -220,8 +220,9 @@ def test_condition1_with_two_matches_binomials(triples, cut, cap):
         assert _condition1_many(ns, ps, rs).tolist() == want
         runs = [_enumerating(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
     assert [holds for holds, _ in runs] == want
-    # one set a triple unless both are above the cap, and never one above it
-    assert [len(sizes) for _, sizes in runs] == (np.minimum(cp, cr) <= cap).tolist()
+    # one set a triple unless both are above the cap or a prime is above n
+    # (which decides it with no set), and never one above the cap
+    assert [len(sizes) for _, sizes in runs] == ((np.minimum(cp, cr) <= cap) & (np.maximum(ps, rs) <= ns)).tolist()
     assert all(size <= cap for _, sizes in runs for size in sizes)
     if cap == conditions.OBSTRUCTION_CAP:
         # the cost rule, not the size, picks the set
@@ -340,11 +341,21 @@ def test_least_member_matches_the_digit_recursion(rows):
     assert _least_members(rows) == [_naive_least_member(*row) for row in rows]
 
 
-def test_a_scan_builds_one_prime_table_for_its_whole_range():
-    # n below 10**6 in a scan up to 1.1 * 10**6 use the cap-10**7 table
-    scan._context.cache_clear()
-    scan_range(900_000, 1_100_000, workers=1)
-    assert scan._context.cache_info().misses == 1
+def test_scans_and_point_queries_build_no_table_above_the_root_primes(monkeypatch):
+    limits = []
+    real = scan.primes_upto
+
+    def spy(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(scan, "primes_upto", spy)
+    for run in (scan_range, scan.scan_with_two):
+        run(900_000, 1_100_000, workers=1)
+    assert scan_one(99_999_990).stage == "sieve"
+    # k0 = 2: of the primes 3, 5, 239, 4649 and 99999989 of C(n, 2), only the last passes
+    assert direct_search(99_999_990, 2) == 99_999_989
+    assert max(limits, default=0) <= 10**4
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,21 +393,43 @@ def test_term_divisors_are_the_prime_divisors_of_the_binomial():
             ns.append(n)
             ks.append(_k0(n, p))
     rows = np.array(sorted(set(rng.sample(range(len(ns)), 30)) | set(range(8))), dtype=np.int64)
-    owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows, _PRIMES)
+    owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows)
     want = [(i, int(q)) for i in rows.tolist() for q in primes_upto(ns[i] - 1) if valuation_binomial(ns[i], ks[i], int(q)) > 0]
     assert list(zip(owner.tolist(), qs.tolist())) == want
 
 
-@pytest.mark.parametrize("n, p, r", [(233926, 7, 1601), (71994, 13, 1531), (352604, 7, 4463)])
-def test_swept_partners_above_the_small_bound_match_oracle(monkeypatch, n, p, r):
+def _spy_swept(monkeypatch):
+    """The (rows searched, least prime of the band) of each _swept call."""
     swept = []
     real = scan._swept
 
     def spy(ns, ks, rows, band):
-        swept.append((rows.size, int(band[0])))
+        swept.append((rows.size, int(band[0]) if band.size else None))
         return real(ns, ks, rows, band)
 
     monkeypatch.setattr(scan, "_swept", spy)
+    return swept
+
+
+@pytest.mark.parametrize("block", [scan.CHUNK, 1], ids=["sieved", "swept"])
+@pytest.mark.parametrize("n, p, r", [(233926, 7, 1601), (71994, 13, 1531), (352604, 7, 4463)])
+def test_partners_above_the_small_bound_match_oracle_on_both_routes(monkeypatch, n, p, r, block):
+    # a term block longer than CHUNK is swept; patched to 1, every block is
+    swept = _spy_swept(monkeypatch)
+    monkeypatch.setattr(scan, "CHUNK", block)
     assert direct_search(n, p) == least_partner(n, p) == r
-    # the pair takes the sweep in both bands
-    assert [size for size, _ in swept] == [1, 1] and swept[1][1] > scan._SMALL_BOUND
+    sizes = [size for size, _ in swept]
+    if block == 1:
+        # the pair takes the sweep in both bands
+        assert sizes == [1, 1] and swept[1][1] > scan._SMALL_BOUND
+    else:
+        assert sizes == [0, 0]
+
+
+@pytest.mark.parametrize("n, p, r", [(393216, 2, 3), (156250, 5, 2)])
+def test_a_term_block_longer_than_a_chunk_is_swept(monkeypatch, n, p, r):
+    assert _k0(n, p) > scan.CHUNK
+    swept = _spy_swept(monkeypatch)
+    assert direct_search(n, p) == least_partner(n, p) == r
+    # the small band settles the pair, so the large band searches no row
+    assert [size for size, _ in swept] == [1, 0]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -267,23 +266,13 @@ def test_window_columns_match_the_scalar_route_across_chunk_seams(lo, mode):
             assert rec.sieve_pair[1].value == below, n
 
 
-def test_scan_context_holds_no_table_beyond_the_primes():
-    ctx = scan._context(10**7)
-    arrays = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
-    nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    assert nbytes <= ctx.primes.nbytes + ctx.sqrt_primes.nbytes
-
-
-_SMALL_PRIMES_CTX = scan._ScanContext(MAX_N, primes_upto(10**4), primes_upto(10**4))
-
-
 @pytest.mark.parametrize("width", [1, 2, 511, 512, CHUNK])
 @pytest.mark.parametrize("lo", [9, 2**20 - 511, 2**20 + 1, 1009**2 - 511, 1009**2 - 1, 1009**2 + 1, MAX_N - CHUNK])
 def test_lppd_arrays_match_the_scalar_divisor(lo, width):
-    # the sieve reads only the primes up to 10**4, so no table up to MAX_N is built
+    # the sieve reads only the module's primes up to sqrt(MAX_N)
     ns = np.arange(lo, lo + width, dtype=np.int64)
-    val, base, part = scan._lppd_arrays(_SMALL_PRIMES_CTX, ns, None)
-    _, _, two_part = scan._lppd_arrays(_SMALL_PRIMES_CTX, ns, 2)
+    val, base, part = scan._lppd_arrays(ns, None)
+    _, _, two_part = scan._lppd_arrays(ns, 2)
     rng = random.Random(lo + width)
     picked = set(range(min(width, 512))) | set(range(max(width - 512, 0), width)) | set(rng.sample(range(width), min(width, 500)))
     for i in sorted(picked):
