@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from typing import Callable
 
 from .conditions import _witness, condition1_holds
@@ -47,9 +48,15 @@ _TABLE_ROWS = (
 )
 
 
-def _progress(label: str) -> Callable[[int], None]:
-    def report(done: int) -> None:
-        print(f"{label}: {done}", file=sys.stderr, flush=True)
+def _progress(label: str) -> Callable[[int, int], None]:
+    """One JSON line on stderr per chunk: the n done and the n in all in this
+    call, the rate since the call began, and the seconds left at that rate."""
+    t0 = time.monotonic()
+
+    def report(done: int, total: int) -> None:
+        rate = done / max(time.monotonic() - t0, 1e-9)
+        line = {"label": label, "done": done, "total": total, "n_per_s": round(rate, 1), "eta_s": round((total - done) / rate, 3)}
+        print(json.dumps(line), file=sys.stderr, flush=True)
 
     return report
 

@@ -19,6 +19,7 @@ the cheap stages go to one batched partner search.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import json
 import os
@@ -374,7 +375,8 @@ def direct_search(n: int, p: int) -> int | None:
 
     The one-pair call of the batched partner search.  For a prime power
     n = q**e the pair is accepted outright when q = p (returning 2), and
-    otherwise k = 1 forces r | n, so q is the only possible partner.
+    otherwise k = 1 forces r | n, so q is the only possible partner.  Any
+    other n has no partner for a p above n.
     """
     _check_scan_n(n)
     _check_max_n(n)
@@ -386,6 +388,9 @@ def direct_search(n: int, p: int) -> int | None:
             return 2
         if pp.prime < n and condition2_direct(n, p, pp.prime):
             return pp.prime
+        return None
+    if p > n:
+        # every k is carry-free in base p, and no one prime divides every C(n, k)
         return None
     r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64))[0])
     return r or None
@@ -525,6 +530,34 @@ def _chunk_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(a, min(a + CHUNK - 1, hi)) for a in range(lo, hi + 1, CHUNK)]
 
 
+# this process's worker pool as (pid, worker count, pool): made by the first
+# multi-chunk call and kept for later ones
+_pool: tuple[int, int, futures.ProcessPoolExecutor] | None = None
+
+
+def _close_pool() -> None:
+    """Shut down the kept pool and join its threads, so that no later fork
+    runs beside them.  A pool inherited through a fork is only forgotten:
+    its threads stayed in the parent, and its locks may be held there."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(wait=True)
+    _pool = None
+
+
+# freed before interpreter teardown, which the pool's finalizers need
+atexit.register(_close_pool)
+
+
+def _worker_pool(workers: int) -> futures.ProcessPoolExecutor:
+    """The kept pool of this many workers, replacing one of another count."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _close_pool()
+        _pool = (os.getpid(), workers, futures.ProcessPoolExecutor(max_workers=workers))
+    return _pool[2]
+
+
 def _run_chunks(
     lo: int,
     hi: int,
@@ -532,6 +565,14 @@ def _run_chunks(
     workers: int | None,
     keep: bool,
 ) -> Iterator[_ChunkResult]:
+    """The chunks of [lo, hi] in ascending order.
+
+    With more than one chunk and more than one worker they run on the kept
+    pool, at most workers + 2 at a time.  Its workers see module state as
+    of the fork that made them, not names patched since.  A consumer that
+    stops early cancels the chunks not yet started and keeps the pool; a
+    worker's death raises BrokenProcessPool, and the next call forks anew.
+    """
     _check_scan(lo, hi, mode)
     bounds = _chunk_bounds(lo, hi)
     if workers is None:
@@ -540,19 +581,24 @@ def _run_chunks(
         for a, b in bounds:
             yield _classify_chunk(a, b, mode, keep)
         return
-    workers = min(workers, len(bounds))
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        it = iter(bounds)
-        pending: deque[futures.Future] = deque(
-            pool.submit(_classify_chunk, a, b, mode, keep)
-            for a, b in itertools.islice(it, workers + 2)
-        )
+    pool = _worker_pool(workers)
+    it = iter(bounds)
+    pending: deque[futures.Future] = deque()
+    try:
+        for a, b in itertools.islice(it, workers + 2):
+            pending.append(pool.submit(_classify_chunk, a, b, mode, keep))
         while pending:
             res = pending.popleft().result()
             nxt = next(it, None)
             if nxt is not None:
                 pending.append(pool.submit(_classify_chunk, *nxt, mode, keep))
             yield res
+    except futures.process.BrokenProcessPool:
+        _close_pool()
+        raise
+    finally:
+        for fut in pending:
+            fut.cancel()
 
 
 def _pp_of(value: int, prime: int) -> PrimePower:
@@ -592,8 +638,10 @@ def _summarize(
     hi: int,
     mode: str,
     workers: int | None,
-    progress: Callable[[int], None] | None,
+    progress: Callable[[int, int], None] | None,
 ) -> ScanSummary:
+    """Counts and exceptions of [lo, hi]; progress gets the n done and the
+    n in all after each chunk."""
     t0 = time.monotonic()
     counts = np.zeros(len(STAGES), dtype=np.int64)
     exceptions: list[ScanRecord] = []
@@ -603,7 +651,7 @@ def _summarize(
         exceptions.extend(chunk.exceptions)
         done += int(chunk.counts.sum())
         if progress is not None:
-            progress(done)
+            progress(done, hi - lo + 1)
     named = {name: int(c) for name, c in zip(STAGES, counts)}
     return ScanSummary(lo, hi, mode, named, exceptions, time.monotonic() - t0)
 
@@ -613,7 +661,7 @@ def scan_range(
     hi: int,
     *,
     workers: int | None = None,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> ScanSummary:
     """Classify every n in [lo, hi] against arbitrary prime pairs."""
     return _summarize(lo, hi, "any", workers, progress)
@@ -624,7 +672,7 @@ def scan_with_two(
     hi: int,
     *,
     workers: int | None = None,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> ScanSummary:
     """Classify [lo, hi] with the pair search restricted to pairs containing 2."""
     return _summarize(lo, hi, "with-two", workers, progress)
@@ -807,7 +855,7 @@ def scan_to_csv(
     mode: str = "any",
     checkpoint_path: str | None = None,
     workers: int | None = None,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> ScanSummary:
     """Stream scan records to CSV, with an atomic checkpoint after each chunk.
 
@@ -819,9 +867,10 @@ def scan_to_csv(
     Rows above the checkpoint, left by an interrupt or a crash inside a
     chunk, are dropped on resume and written again.  A checkpoint of another
     mode or range, or one without them, raises ValueError before the CSV is
-    opened.  progress gets the count of n written so far in this call.  The
-    summary covers all of [lo, hi], rows kept from earlier runs included;
-    its elapsed_seconds is this call's scanning time.
+    opened.  progress gets the count of n written so far in this call and
+    the count of n this call writes.  The summary covers all of [lo, hi],
+    rows kept from earlier runs included; its elapsed_seconds is this
+    call's scanning time.
     """
     _check_scan(lo, hi, mode)
     run = {"mode": mode, "lo": lo, "hi": hi}
@@ -852,5 +901,5 @@ def scan_to_csv(
                 counts[name] += int(c)
             exceptions.extend(chunk.exceptions)
             if progress is not None:
-                progress(last - start + 1)
+                progress(last - start + 1, hi - start + 1)
     return ScanSummary(lo, hi, mode, counts, exceptions, time.monotonic() - t0)

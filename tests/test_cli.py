@@ -126,6 +126,31 @@ def test_scan_out_writes_csv_and_summary(tmp_path, capsys):
     assert str(out) in captured.err
 
 
+@pytest.mark.parametrize("to_csv", [False, True], ids=["summary", "csv"])
+def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, to_csv):
+    lo, hi = 9, 2 * scan.CHUNK + 100
+    out = tmp_path / "rows.csv"
+    argv = ["scan", str(lo), str(hi), "--workers", "2"] + (["--out", str(out)] if to_csv else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    lines = [json.loads(line) for line in err if line.startswith("{")]
+    assert [line for line in err if not line.startswith("{")] == ([f"records written to {out}", f"summary written to {out}.summary.json"] if to_csv else [])
+    total = hi - lo + 1
+    done = [line["done"] for line in lines]
+    assert len(lines) == 3 and done == sorted(set(done)) and done[-1] == total
+    for line in lines:
+        assert set(line) == {"label", "done", "total", "n_per_s", "eta_s"}
+        assert (line["label"], line["total"]) == (f"scan[{lo},{hi}] any", total)
+        assert line["n_per_s"] > 0 and line["eta_s"] >= 0
+    assert lines[-1]["eta_s"] == 0
+    # the summary on stdout, the CSV and its sidecar hold none of it
+    assert set(json.loads(captured.out)) == {"lo", "hi", "mode", "counts", "exceptions", "elapsed_seconds"}
+    if to_csv:
+        assert len(out.read_text(encoding="ascii").splitlines()) == 1 + total
+        assert json.loads((tmp_path / "rows.csv.summary.json").read_text()) == json.loads(captured.out)
+
+
 def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
     # chunks of 2048 n, so that [9, 8000] has four and a checkpoint below hi
     # without a with-two scan of a whole 2**16 chunk

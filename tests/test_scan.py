@@ -2,6 +2,11 @@ import hashlib
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +120,19 @@ def test_direct_search_returns_least_witness():
         smaller = [int(q) for q in primes_upto(r - 1)] if r > 2 else []
         for q in smaller:
             assert not condition2_direct(n, 2, q), (n, q)
+
+
+@pytest.mark.parametrize(
+    "n, p, want",
+    [(100, 18446744073709551557, None), (10**6, 18446744073709551557, None), (100, 101, None), (125, 18446744073709551557, 5), (128, 18446744073709551557, 2)],
+)
+def test_direct_search_with_a_prime_above_n(n, p, want):
+    # the prime beyond int64 used to overflow the batched search; above a
+    # non-prime-power n no partner exists, and n = q**e takes q (2 when q = 2)
+    assert direct_search(n, p) == want
+    if n < 1000:
+        # the least prime r < n that condition2_direct accepts, tried in order
+        assert want == next((int(r) for r in primes_upto(n - 1) if condition2_direct(n, p, int(r))), None)
 
 
 def test_condition5_sieve_pair():
@@ -284,9 +302,9 @@ def test_lppd_arrays_match_the_scalar_divisor(lo, width):
 
 def test_progress_callback_reports_cumulative_counts():
     seen = []
-    scan_range(9, CHUNK + 100, progress=seen.append)
-    assert seen[-1] == CHUNK + 100 - 9 + 1
-    assert seen == sorted(seen)
+    scan_range(9, CHUNK + 100, progress=lambda done, total: seen.append((done, total)))
+    total = CHUNK + 100 - 9 + 1
+    assert seen == [(CHUNK, total), (total, total)]
 
 
 def test_summary_json_shape():
@@ -462,8 +480,19 @@ def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
 
 def test_scan_to_csv_progress_reports_cumulative_counts(tmp_path):
     seen = []
-    scan_to_csv(9, CHUNK + 100, str(tmp_path / "rows.csv"), progress=seen.append)
-    assert seen == [CHUNK, CHUNK + 100 - 9 + 1]
+
+    def report(done, total):
+        seen.append((done, total))
+
+    lo, hi = 9, CHUNK + 100
+    out, ckpt = str(tmp_path / "rows.csv"), str(tmp_path / "rows.ckpt")
+    scan_to_csv(lo, hi, out, checkpoint_path=ckpt, progress=report)
+    assert seen == [(CHUNK, hi - lo + 1), (hi - lo + 1, hi - lo + 1)]
+    # a resumed call counts only the n it writes
+    write_checkpoint(ckpt, "any", lo, hi, lo + CHUNK - 1)
+    seen.clear()
+    scan_to_csv(lo, hi, out, checkpoint_path=ckpt, progress=report)
+    assert seen == [(hi - lo - CHUNK + 1, hi - lo - CHUNK + 1)]
 
 
 def test_resume_with_torn_tail_line(tmp_path):
@@ -643,3 +672,88 @@ def test_out_of_envelope_ranges_are_refused_before_any_table(tmp_path, monkeypat
     with pytest.raises(ValueError, match=str(MAX_N)):
         scan_to_csv(MAX_N - 5, too_big, str(out), checkpoint_path=str(tmp_path / "rows.ckpt"))
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the worker pool kept across scan calls
+
+
+def _pool_pids() -> set[int]:
+    """The pids of the kept pool's workers; empty when no pool is kept."""
+    return set(scan._pool[2]._processes or ()) if scan._pool is not None else set()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _rows(tmp_path, lo: int, hi: int, workers: int) -> bytes:
+    """The CSV rows of [lo, hi] scanned on this many workers."""
+    out = tmp_path / f"rows-{workers}.csv"
+    scan_to_csv(lo, hi, str(out), workers=workers)
+    return out.read_bytes()
+
+
+def test_consecutive_scans_are_served_by_one_pool(tmp_path):
+    lo, hi = 9, 3 * CHUNK
+    assert _rows(tmp_path, lo, hi, 2) == _rows(tmp_path, lo, hi, 1)
+    pool, pids = scan._pool[2], _pool_pids()
+    assert len(pids) == 2
+    par, seq = scan_range(lo, hi, workers=2), scan_range(lo, hi, workers=1)
+    assert (par.counts, par.exceptions) == (seq.counts, seq.exceptions)
+    assert scan._pool[2] is pool and _pool_pids() == pids
+    assert all(_alive(pid) for pid in pids)
+
+
+def test_another_worker_count_replaces_the_pool(tmp_path):
+    lo, hi = 9, 3 * CHUNK
+    scan_range(lo, hi, workers=2)
+    old, old_pids = scan._pool[2], _pool_pids()
+    # no test asks for more than 2 workers, so a pool of one stands for
+    # another count; the old pool's workers are joined before it is made
+    one = scan._worker_pool(1)
+    assert one is not old and scan._pool[:2] == (os.getpid(), 1)
+    assert not any(_alive(pid) for pid in old_pids)
+    assert _rows(tmp_path, lo, hi, 2) == _rows(tmp_path, lo, hi, 1)
+    assert scan._pool[2] is not one and scan._pool[:2] == (os.getpid(), 2)
+    assert _pool_pids().isdisjoint(old_pids)
+
+
+def test_a_killed_worker_fails_that_call_and_the_next_forks_anew(tmp_path):
+    lo, hi = 9, 3 * CHUNK
+    scan_range(lo, hi, workers=2)
+    pool, pids = scan._pool[2], _pool_pids()
+    os.kill(min(pids), signal.SIGKILL)
+    # the pool's manager thread marks it broken and exits
+    pool._executor_manager_thread.join(timeout=60)
+    with pytest.raises(BrokenProcessPool):
+        scan_range(lo, hi, workers=2)
+    assert scan._pool is None
+    assert _rows(tmp_path, lo, hi, 2) == _rows(tmp_path, lo, hi, 1)
+    assert _pool_pids().isdisjoint(pids)
+
+
+def test_a_scan_left_early_keeps_the_pool(tmp_path):
+    lo, hi = 9, 6 * CHUNK
+    it = iter_scan(lo, hi, workers=2)
+    assert next(it) == scan_one(lo)
+    pids = _pool_pids()
+    # the chunks not yet started are cancelled, and the next scan runs at once
+    it.close()
+    assert _rows(tmp_path, lo, 3 * CHUNK, 2) == _rows(tmp_path, lo, 3 * CHUNK, 1)
+    assert _pool_pids() == pids
+
+
+def test_a_process_that_scanned_on_the_pool_exits_with_its_workers():
+    code = "from binodiv import scan\nscan.scan_range(9, 3 * scan.CHUNK, workers=2)\nprint(*scan._pool[2]._processes)\n"
+    src = str(Path(scan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
