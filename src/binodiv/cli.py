@@ -9,11 +9,12 @@ to standard error.  Exit codes: 0 for success (and for "condition holds"),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
-from typing import Callable
+from typing import Callable, TextIO
 
 from .conditions import _witness, condition1_holds
 from .density import density_bound_report, dickman_rho, psi_count
@@ -61,6 +62,17 @@ def _progress(label: str) -> Callable[[int, int], None]:
     return report
 
 
+def _dump_json(body: dict, fh: TextIO) -> None:
+    """Write json.dumps(body, indent=2) and a newline to fh, a few thousand
+    tokens at a time: the whole text of a with-two summary more than doubled
+    the scan's peak memory, and json.dump makes one write per token, a
+    system call each on an unbuffered stdout (python -u)."""
+    tokens = json.JSONEncoder(indent=2).iterencode(body)
+    while text := "".join(itertools.islice(tokens, 4096)):
+        fh.write(text)
+    fh.write("\n")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     n, p, r = args.n, args.p, args.r
     w, c1 = _witness(n, p, r)
@@ -96,11 +108,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
         print(f"records written to {args.out}", file=sys.stderr)
         summary_path = args.out + ".summary.json"
+        body = summary.to_dict()
         with open(summary_path, "w", encoding="ascii") as fh:
-            fh.write(summary.to_json() + "\n")
+            _dump_json(body, fh)
         print(f"summary written to {summary_path}", file=sys.stderr)
         if args.format == "json":
-            print(summary.to_json())
+            _dump_json(body, sys.stdout)
         counts = summary.counts
     elif args.format == "csv":
         # _write_csv checks only once iterated, after the header
@@ -111,7 +124,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         run = scan_with_two if mode == "with-two" else scan_range
         summary = run(args.lo, args.hi, workers=args.workers, progress=progress)
-        print(summary.to_json())
+        _dump_json(summary.to_dict(), sys.stdout)
         counts = summary.counts
     return 0 if mode == "with-two" or counts["fail"] == 0 else 1
 

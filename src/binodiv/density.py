@@ -101,18 +101,10 @@ def psi_count(x: int, y: float) -> PsiCount:
     """Exact Psi(x, y) by table lookup of largest prime factors."""
     if not 1 <= x <= PSI_X_CAP:
         raise ValueError(f"x = {x} outside [1, {PSI_X_CAP}]")
-    lpf = _largest_prime_factors(_round_cap(x))
+    lpf = _largest_prime_factors(x)
     # 1 has no prime factor, so it counts for every y
-    count = 1 + int(np.count_nonzero(lpf[2 : x + 1] <= y))
+    count = 1 + int(np.count_nonzero(lpf[2:] <= y))
     return PsiCount(x, float(y), count)
-
-
-def _round_cap(x: int) -> int:
-    # build the sieve at a few canonical sizes so repeated queries share it
-    for cap in (10**4, 10**6, PSI_X_CAP):
-        if x <= cap:
-            return cap
-    return PSI_X_CAP
 
 
 @lru_cache(maxsize=2)

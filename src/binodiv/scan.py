@@ -27,7 +27,7 @@ import time
 from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -113,8 +113,9 @@ class ScanSummary:
         """How many scanned n found a covering pair."""
         return sum(c for stage, c in self.counts.items() if stage != "fail")
 
-    def to_json(self) -> str:
-        body = {
+    def to_dict(self) -> dict:
+        """The JSON body of to_json, for writing with json.dump."""
+        return {
             "lo": self.lo,
             "hi": self.hi,
             "mode": self.mode,
@@ -130,7 +131,9 @@ class ScanSummary:
             ],
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
-        return json.dumps(body, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -283,14 +286,14 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     They come from _term_divisors, or, where the k0 numerator terms would
     make a block longer than a chunk, from _swept over the primes below the
     group's largest such n.  A scan never sweeps: its residual n fail
-    window A, so k0 is at most n minus the prime power below n.
-    _least_verified decides the candidates below _SMALL_BOUND first, then
-    the rest of the pairs still open.  Pairs go _GROUP at a time.
+    window A, so k0 is at most n minus the prime power below n.  One
+    _condition1_many call decides the candidates below _SMALL_BOUND, and
+    one more the rest of the pairs still open.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
-        n, p = ns[g], ps[g]
+        n, p, f = ns[g], ps[g], found[g]
         k0 = np.ones_like(n)
         while (more := n % (k0 * p) == 0).any():
             k0[more] *= p[more]
@@ -299,10 +302,14 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
         primes = primes_upto(int(n[sweep].max())) if sweep.any() else _ROOT_PRIMES[:0]
         split = int(np.searchsorted(primes, _SMALL_BOUND))
         for band, in_band in ((primes[:split], qs < _SMALL_BOUND), (primes[split:], qs >= _SMALL_BOUND)):
-            more_owner, more_qs = _swept(n, k0, np.flatnonzero(sweep & (found[g] == 0)), band)
+            more_owner, more_qs = _swept(n, k0, np.flatnonzero(sweep & (f == 0)), band)
             o, q = np.concatenate((owner[in_band], more_owner)), np.concatenate((qs[in_band], more_qs))
-            order = np.argsort(o, kind="stable")
-            _least_verified(n, p, o[order], q[order], found[g])
+            at = np.flatnonzero(f[o] == 0)
+            hit = at[_condition1_many(n[o[at]], p[o[at]], q[at])]
+            # each row's candidates ascend, so its first hit is its least
+            # verified candidate
+            i, first = np.unique(o[hit], return_index=True)
+            f[i] = q[hit[first]]
     return found
 
 
@@ -313,13 +320,16 @@ def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
     primes up to sqrt(max ns), what is left of a term is 1 or a prime.
     """
     n, k = ns[rows], ks[rows]
-    rem, _, _, _, (i, q) = _sieve(n, k, _root_primes(int(n.max(initial=0))))
+    top = int(n.max(initial=0))
+    rem, _, _, _, (i, q) = _sieve(n, k, _root_primes(top))
     big = rem > 1
     term = np.repeat(np.arange(rows.size), k)
-    # one key per pair sorts by i, then q; a diff drops repeats (np.unique hashes on numpy 2)
-    key = np.sort(np.concatenate((i, term[big])) * MAX_N + np.concatenate((q, rem[big])))
+    # one key per pair sorts by i, then q (no q exceeds top); a diff drops
+    # repeats (np.unique hashes on numpy 2)
+    scale = top + 1
+    key = np.sort(np.concatenate((i, term[big])) * scale + np.concatenate((q, rem[big])))
     key = key[np.diff(key, prepend=-1) != 0]
-    return _binomial_divisors(ns, ks, rows[key // MAX_N], key % MAX_N)
+    return _binomial_divisors(ns, ks, rows[key // scale], key % scale)
 
 
 def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
@@ -352,22 +362,6 @@ def _binomial_divisors(ns: np.ndarray, ks: np.ndarray, owner: np.ndarray, qs: np
         power[live] *= q[live]
     keep[at] = v > 0
     return owner[keep], qs[keep]
-
-
-def _least_verified(ns, ps, owner: np.ndarray, qs: np.ndarray, found: np.ndarray) -> None:
-    """Set found[i] to the least verified candidate qs[j] with owner[j] = i,
-    for every i with found[i] == 0 and such a candidate; owner is ascending,
-    and qs ascending within each owner.  One _condition1_many call decides
-    each pair's least candidate, which settles most pairs that have a
-    partner, and a second all other candidates of the pairs still open.
-    """
-    least = np.diff(owner, prepend=-1) != 0
-    for tier in (least, ~least):
-        at = np.flatnonzero(tier & (found[owner] == 0))
-        hit = at[_condition1_many(ns[owner[at]], ps[owner[at]], qs[at])]
-        # the first hit of each owner holds its least verified candidate
-        i, first = np.unique(owner[hit], return_index=True)
-        found[i] = qs[hit[first]]
 
 
 def direct_search(n: int, p: int) -> int | None:
@@ -678,31 +672,14 @@ def scan_with_two(
     return _summarize(lo, hi, "with-two", workers, progress)
 
 
-def failure_histogram(
-    hi: int,
-    bucket_width: int,
-    fail_ns: Iterable[int] | None = None,
-) -> Histogram:
-    """Histogram of restricted-mode failures in [9, hi].
-
-    fail_ns, when given, must be the failing n of a previous
-    scan_with_two(9, hi); otherwise that scan runs here.
-    """
+def failure_histogram(hi: int, bucket_width: int) -> Histogram:
+    """Histogram of the failures of scan_with_two(9, hi)."""
     if hi < 9:
         raise ValueError(f"need hi >= 9, got {hi}")
     if bucket_width < 1:
         raise ValueError(f"need bucket_width >= 1, got {bucket_width}")
-    if fail_ns is None:
-        summary = scan_with_two(9, hi)
-        fail_ns = [rec.n for rec in summary.exceptions if rec.stage == "fail"]
-    arr = np.asarray(sorted(fail_ns), dtype=np.int64)
-    nbuckets = hi // bucket_width + 1
-    if arr.size:
-        if arr[0] < 9 or arr[-1] > hi:
-            raise ValueError("failure values outside [9, hi]")
-        counts = np.bincount(arr // bucket_width, minlength=nbuckets)
-    else:
-        counts = np.zeros(nbuckets, dtype=np.int64)
+    fails = np.array([rec.n for rec in scan_with_two(9, hi).exceptions if rec.stage == "fail"], dtype=np.int64)
+    counts = np.bincount(fails // bucket_width, minlength=hi // bucket_width + 1)
     buckets = tuple((int(i * bucket_width), int(c)) for i, c in enumerate(counts))
     return Histogram(bucket_width, buckets)
 

@@ -126,6 +126,23 @@ def test_scan_out_writes_csv_and_summary(tmp_path, capsys):
     assert str(out) in captured.err
 
 
+def test_scan_out_sidecar_and_stdout_are_the_summary_json(tmp_path, capsys, monkeypatch):
+    summaries = []
+
+    def kept(*args, **kwargs):
+        summaries.append(scan_to_csv(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr("binodiv.cli.scan_to_csv", kept)
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "9", "200", "--mode", "with-two", "--out", str(out)]) == 0
+    (summary,) = summaries
+    assert [rec.n for rec in summary.exceptions][:4] == [15, 45, 51, 55]
+    want = summary.to_json() + "\n"
+    assert (tmp_path / "rows.csv.summary.json").read_bytes() == want.encode("ascii")
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("to_csv", [False, True], ids=["summary", "csv"])
 def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, to_csv):
     lo, hi = 9, 2 * scan.CHUNK + 100

@@ -114,7 +114,8 @@ def test_other_divisors_are_searched_in_one_call(monkeypatch):
     assert 2 in calls[1] and 3 in calls[1]
 
 
-def test_least_verified_makes_at_most_two_verifier_calls(monkeypatch):
+@pytest.mark.parametrize("group", [scan._GROUP, 64])
+def test_partner_search_decides_each_band_in_one_kernel_call(monkeypatch, group):
     calls = []
     real = scan._condition1_many
 
@@ -123,21 +124,26 @@ def test_least_verified_makes_at_most_two_verifier_calls(monkeypatch):
         return real(ns, ps, rs)
 
     monkeypatch.setattr(scan, "_condition1_many", counted)
-    ns = np.array([46800, 31416, 15], dtype=np.int64)
-    owner = np.repeat(np.arange(3), 168)
-    qs = np.tile(primes_upto(1000), 3)
-    found = np.zeros(3, dtype=np.int64)
-    scan._least_verified(ns, np.full(3, 2), owner, qs, found)
-    assert len(calls) == 2
-    # 46800 pairs 2 with 149, and neither of the others has a partner below 1000
-    assert found.tolist() == [149, 0, 0]
+    monkeypatch.setattr(scan, "_GROUP", group)
+    # 257 n, 1,546 candidates with p = 2; 12 partners lie at or above
+    # _SMALL_BOUND and 34 n have none
+    ns = np.array([n for n in range(2000, 2300) if is_prime_power(n) is None], dtype=np.int64)
+    got = scan._partner_search(ns, np.full(ns.size, 2))
+    assert len(calls) <= 2 * -(-ns.size // group)
+    assert got.tolist() == [least_partner(int(n), 2) or 0 for n in ns]
 
 
-def test_least_verified_without_candidates_leaves_found_alone():
-    found = np.array([0, 7, 0], dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    scan._least_verified(np.array([46800, 12, 15]), np.array([2, 2, 2]), empty, empty, found)
-    assert found.tolist() == [0, 7, 0]
+def test_partner_search_records_the_lesser_of_two_holding_candidates():
+    # 5 and 499 are both candidates of 2000 below _SMALL_BOUND, and both hold
+    owner, qs = scan._term_divisors(np.array([2000]), np.array([16]), np.array([0]))
+    assert {5, 499} <= set(qs.tolist())
+    assert condition2_direct(2000, 2, 5) and condition2_direct(2000, 2, 499)
+    assert scan._partner_search(np.array([2000]), np.array([2])).tolist() == [5]
+
+
+def test_partner_search_leaves_a_row_without_a_partner_at_zero():
+    ns = np.array([46800, 5504490, 15, 31416], dtype=np.int64)
+    assert scan._partner_search(ns, np.full(4, 2)).tolist() == [149, 0, 0, 7853]
 
 
 def _counts(ns, ps, rs):
@@ -396,6 +402,14 @@ def test_term_divisors_are_the_prime_divisors_of_the_binomial():
     owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows)
     want = [(i, int(q)) for i in rows.tolist() for q in primes_upto(ns[i] - 1) if valuation_binomial(ns[i], ks[i], int(q)) > 0]
     assert list(zip(owner.tolist(), qs.tolist())) == want
+
+
+def test_term_divisors_keep_rows_apart_above_max_n():
+    # the prime cofactor 10**8 + 7 of the first term exceeds MAX_N, so a key
+    # of row * MAX_N + q would read it as a divisor of row 1
+    ns = np.array([2 * (10**8 + 7), 30])
+    owner, qs = scan._term_divisors(ns, np.array([1, 1]), np.array([0, 1]))
+    assert list(zip(owner.tolist(), qs.tolist())) == [(0, 2), (0, 10**8 + 7), (1, 2), (1, 3), (1, 5)]
 
 
 def _spy_swept(monkeypatch):
