@@ -2,7 +2,8 @@
 
 A checkpoint is JSON holding the mode, lo and hi of its scan and the last
 n of the last fully written chunk.  stop_at_slice stands in for the chunk
-emitter scan._csv_slices and raises KeyboardInterrupt at a chosen slice.
+emitter scan._csv_slices, which yields the text of scan._SLICE rows at a
+time, and raises KeyboardInterrupt at a chosen slice.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ def stop_at_slice(slices: int):
 
     def emit(chunk):
         nonlocal done
-        for rows in real(chunk):
+        for text in real(chunk):
             if done == slices:
                 raise KeyboardInterrupt
             done += 1
-            yield rows
+            yield text
 
     return emit
 

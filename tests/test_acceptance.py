@@ -26,7 +26,7 @@ from binodiv.permgroup import (
     group_order,
 )
 from binodiv.scan import CHUNK, scan_one, scan_range, scan_to_csv, scan_with_two
-from resume import checkpoint_last, stop_at_slice
+from resume import checkpoint_last, last_row_n, stop_at_slice
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -235,6 +235,8 @@ def test_criterion_10_interrupt_and_resume(tmp_path, monkeypatch):
         m.setattr(scan, "_csv_slices", stop_at_slice(CHUNK // scan._SLICE + 4))
         scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     assert checkpoint_last(ckpt) == lo + CHUNK - 1
+    # the rows of those four slices are in the CSV, and the resume drops them
+    assert last_row_n(out) == lo + CHUNK - 1 + 4 * scan._SLICE
     scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
 
     def digest(path):

@@ -13,7 +13,7 @@ import binodiv
 from binodiv import conditions, scan
 from binodiv.cli import main
 from binodiv.density import dickman_rho
-from binodiv.scan import MAX_N, scan_to_csv
+from binodiv.scan import CSV_HEADER, MAX_N, scan_to_csv
 from resume import checkpoint_last, last_row_n, stop_at_slice
 
 REPO = Path(__file__).resolve().parents[1]
@@ -169,9 +169,9 @@ def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, to_csv):
 
 
 def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
-    # chunks of 2048 n, so that [9, 8000] has four and a checkpoint below hi
-    # without a with-two scan of a whole 2**16 chunk
-    monkeypatch.setattr(scan, "CHUNK", 2048)
+    # chunks of two slices, so that [9, 8000] has two and a checkpoint below
+    # hi without a with-two scan of a whole 2**16 chunk
+    monkeypatch.setattr(scan, "CHUNK", 2 * scan._SLICE)
     lo, hi = 9, 8000
     clean = tmp_path / "clean.csv"
     assert main(["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(clean)]) == 0
@@ -181,10 +181,11 @@ def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rows.csv"
     ckpt = tmp_path / "rows.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "_csv_slices", stop_at_slice(2))  # as the third chunk starts
+        m.setattr(scan, "_csv_slices", stop_at_slice(3))  # one slice into the second chunk
         scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
-    assert lo < checkpoint_last(ckpt) < hi
-    assert last_row_n(out) == checkpoint_last(ckpt)
+    assert checkpoint_last(ckpt) == lo + 2 * scan._SLICE - 1 < hi
+    # the slice past the checkpoint is in the CSV, and the resume drops it
+    assert last_row_n(out) == checkpoint_last(ckpt) + scan._SLICE
     argv = ["scan", str(lo), str(hi), "--mode", "with-two", "--out", str(out), "--checkpoint", str(ckpt)]
     assert main(argv) == 0
     stdout = json.loads(capsys.readouterr().out)
@@ -215,7 +216,10 @@ def test_scan_csv_stdout_equals_out_file(tmp_path, capsys, mode):
     assert main(["scan", "9", "2000", "--mode", mode, "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["scan", "9", "2000", "--mode", mode, "--format", "csv"]) == 0
-    assert capsys.readouterr().out == out.read_text(encoding="ascii")
+    text = out.read_text(encoding="ascii")
+    assert capsys.readouterr().out == text
+    assert text.startswith(CSV_HEADER + "\n")
+    assert (",fail," in text) == (mode == "with-two")
 
 
 def test_scan_refuses_range_above_limit(capsys):

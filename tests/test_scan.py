@@ -1,10 +1,14 @@
 import hashlib
+import io
+import itertools
 import json
+import math
 import os
 import random
 import signal
 import subprocess
 import sys
+import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -590,11 +594,21 @@ def test_resume_refuses_a_checkpoint_of_another_run(tmp_path):
 
 
 def _emitted(chunk):
-    return "".join(line for rows in scan._csv_slices(chunk) for line in rows)
+    return "".join(scan._csv_slices(chunk))
 
 
 def _formatted(chunk):
     return "".join(format_record(rec) + "\n" for rec in scan._materialize(chunk))
+
+
+def _first_difference(got: str, want: str):
+    """The first line where two CSV texts differ, as (index, got, want), or
+    None; a diff of two whole scans would take pytest minutes to print."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(itertools.zip_longest(got_lines, want_lines)):
+        if g != w:
+            return i, g, w
+    return None
 
 
 @settings(max_examples=30, deadline=None)
@@ -609,7 +623,7 @@ def test_chunk_emitter_matches_format_record(a, width, mode, size):
     (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(scan, "_SLICE", size)
-        assert _emitted(chunk) == _formatted(chunk)
+        assert _first_difference(_emitted(chunk), _formatted(chunk)) is None
 
 
 def test_chunk_emitter_covers_every_stage():
@@ -617,11 +631,94 @@ def test_chunk_emitter_covers_every_stage():
     for a, b, mode in ((31000, 32000, "any"), (46000, 47000, "any"), (9, 5000, "with-two")):
         (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
         texts.append(_emitted(chunk))
-        assert texts[-1] == _formatted(chunk)
+        assert _first_difference(texts[-1], _formatted(chunk)) is None
     lines = "".join(texts).splitlines()
     assert {line.split(",")[1] for line in lines} == set(scan.STAGES)
     for row in ("31416,other_divisor,2,7853,,", "46800,other_divisor,2,149,,", "15,fail,,,,"):
         assert row in lines
+
+
+class _CountingText(io.StringIO):
+    """A text file that counts the calls that write to it."""
+
+    calls = 0
+
+    def write(self, s):
+        self.calls += 1
+        return super().write(s)
+
+    def writelines(self, lines):
+        self.calls += 1
+        return super().writelines(lines)
+
+
+def _records(lo, hi, mode):
+    return "".join(format_record(rec) + "\n" for rec in iter_scan(lo, hi, mode, workers=1))
+
+
+def test_csv_writer_makes_one_write_per_slice():
+    lo, hi = 9, CHUNK + 3 * scan._SLICE + 100
+    fh = _CountingText()
+    for chunk in scan._write_csv(fh, lo, hi, "any", 1):
+        assert fh.calls <= math.ceil(chunk.stage.size / scan._SLICE)
+        fh.calls = 0
+    assert _first_difference(fh.getvalue(), _records(lo, hi, "any")) is None
+
+
+@pytest.mark.parametrize("mode", scan.MODES)
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (999_000, 1_001_000),  # n crosses 10**6
+        (MAX_N - 1_500, MAX_N),
+        (500_000, 500_000),
+        (2**20 - 5_000, 2**20 + 5_000),  # four slices and 1,809 rows
+        (9, CHUNK + 2 * scan._SLICE + 9),  # a full chunk, then two slices and one row
+    ],
+)
+def test_csv_writer_matches_format_record(lo, hi, mode):
+    fh = io.StringIO()
+    for _ in scan._write_csv(fh, lo, hi, mode, 1):
+        pass
+    text = fh.getvalue()
+    assert _first_difference(text, _records(lo, hi, mode)) is None
+    if hi == MAX_N:
+        assert text.splitlines()[-1] == format_record(scan_one(MAX_N, mode))
+
+
+def test_csv_slices_write_every_digit_count_and_empty_fields():
+    values = [1, 9, 10, 99, 100] + [v for k in range(3, scan._DIGITS) for v in (10**k - 1, 10**k)] + [10**scan._DIGITS - 1]
+    values += [0] * 4
+    rows = len(values)
+    # each column takes every value and a 0 on its own row; n runs across a
+    # power of ten for each digit count, up to the last n of twelve digits
+    cols = [np.roll(np.array(values, dtype=np.int64), j) for j in range(4)]
+    stage = (np.arange(rows) % len(scan.STAGES)).astype(np.uint8)
+    for lo in [10**k - 2 for k in range(1, scan._DIGITS)] + [10**scan._DIGITS - rows]:
+        chunk = scan._ChunkResult(lo, np.zeros(len(scan.STAGES), dtype=np.int64), stage, *cols, [])
+        want = "".join(
+            f"{lo + i},{scan.STAGES[stage[i]]},{','.join(str(int(col[i]) or '') for col in cols)}\n" for i in range(rows)
+        )
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(scan, "_SLICE", 8)  # three slices and four rows
+            assert _first_difference(_emitted(chunk), want) is None
+
+
+@pytest.mark.parametrize("digits", [scan._DIGITS, scan._DIGITS + 1])
+def test_import_refuses_a_max_n_with_more_digits_than_a_csv_field(monkeypatch, digits):
+    # the module's source with MAX_N = 10**(digits - 1), run as a module of binodiv
+    source = Path(scan.__file__).read_text(encoding="utf-8")
+    assert source.count("\nMAX_N = 10**8\n") == 1
+    code = compile(source.replace("\nMAX_N = 10**8\n", f"\nMAX_N = 10**{digits - 1}\n"), scan.__file__, "exec")
+    wide = types.ModuleType("binodiv.wide_scan")
+    wide.__package__ = "binodiv"
+    monkeypatch.setitem(sys.modules, wide.__name__, wide)  # dataclasses look their module up
+    if digits <= scan._DIGITS:
+        exec(code, wide.__dict__)
+        assert wide.MAX_N == 10 ** (digits - 1)
+    else:
+        with pytest.raises(ValueError, match=rf"MAX_N = 10{{{digits - 1}}} has more digits than the {scan._DIGITS} a CSV field"):
+            exec(code, wide.__dict__)
 
 
 @pytest.mark.parametrize(
