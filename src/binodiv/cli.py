@@ -30,9 +30,8 @@ from .permgroup import (
 )
 from .scan import (
     CSV_HEADER,
-    STAGES,
     _check_scan,
-    _write_csv,
+    _summarize,
     failure_histogram,
     prime_gap_stats,
     scan_range,
@@ -116,11 +115,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             _dump_json(body, sys.stdout)
         counts = summary.counts
     elif args.format == "csv":
-        # _write_csv checks only once iterated, after the header
-        _check_scan(args.lo, args.hi, mode)
+        # _summarize checks only once it runs, after the header
+        _check_scan(args.lo, args.hi, mode, args.workers)
         print(CSV_HEADER)
-        chunks = _write_csv(sys.stdout, args.lo, args.hi, mode, args.workers)
-        counts = dict(zip(STAGES, sum(chunk.counts for chunk in chunks)))
+        counts = _summarize(args.lo, args.hi, mode, args.workers, progress, sys.stdout).counts
     else:
         run = scan_with_two if mode == "with-two" else scan_range
         summary = run(args.lo, args.hi, workers=args.workers, progress=progress)

@@ -119,6 +119,4 @@ def _largest_prime_factors(cap: int) -> np.ndarray:
 def density_bound_report(u: float) -> dict:
     """The density lower bound 1 - rho(u), as a JSON-ready mapping."""
     rho = dickman_rho(u)
-    if u == 20 and not rho < 1e-28:
-        raise ArithmeticError(f"rho(20) = {rho} not below 1e-28")
     return {"u": float(u), "rho": rho, "one_minus_rho": 1.0 - rho}

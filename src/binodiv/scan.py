@@ -166,13 +166,15 @@ def _check_max_n(n: int) -> None:
         raise ValueError(f"n must be at most {MAX_N}, whose square root bounds the scan's prime table, got {n}")
 
 
-def _check_scan(lo: int, hi: int, mode: str) -> None:
-    """Refuse a bad range or mode, or hi above MAX_N, before any output is
-    written."""
+def _check_scan(lo: int, hi: int, mode: str, workers: int | None) -> None:
+    """Refuse a bad range, mode or worker count, or hi above MAX_N, before
+    any output is written."""
     if lo < 9 or hi < lo:
         raise ValueError(f"need 9 <= lo <= hi, got [{lo}, {hi}]")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     _check_max_n(hi)
 
 
@@ -562,16 +564,18 @@ def _run_chunks(
     """The chunks of [lo, hi] in ascending order.
 
     With more than one chunk and more than one worker they run on the kept
-    pool, at most workers + 2 at a time.  Its workers see module state as
-    of the fork that made them, not names patched since.  A consumer that
-    stops early cancels the chunks not yet started and keeps the pool; a
-    worker's death raises BrokenProcessPool, and the next call forks anew.
+    pool, of at most os.cpu_count() workers (None: that many), at most
+    workers + 2 at a time.  Its workers see module state as of the fork
+    that made them, not names patched since.  A consumer that stops early
+    cancels the chunks not yet started and keeps the pool; a worker's
+    death raises BrokenProcessPool, and the next call forks anew.
     """
-    _check_scan(lo, hi, mode)
+    _check_scan(lo, hi, mode, workers)
     bounds = _chunk_bounds(lo, hi)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(bounds) <= 1:
+    # a fork-started pool forks all of its workers at the first submit
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
+    if workers == 1 or len(bounds) <= 1:
         for a, b in bounds:
             yield _classify_chunk(a, b, mode, keep)
         return
@@ -633,17 +637,31 @@ def _summarize(
     mode: str,
     workers: int | None,
     progress: Callable[[int, int], None] | None,
+    sink: TextIO | None = None,
+    after: Callable[[int], None] | None = None,
 ) -> ScanSummary:
-    """Counts and exceptions of [lo, hi]; progress gets the n done and the
-    n in all after each chunk."""
+    """Counts and exceptions of [lo, hi], the one fold over a scan's chunks.
+
+    For each chunk in turn: its CSV rows go to sink, when one is given,
+    one write per slice and then a flush; after gets the chunk's last n,
+    so a checkpoint written there covers only rows already flushed; then
+    the chunk is counted, and progress gets the n done and the n in all.
+    """
     t0 = time.monotonic()
     counts = np.zeros(len(STAGES), dtype=np.int64)
     exceptions: list[ScanRecord] = []
     done = 0
-    for chunk in _run_chunks(lo, hi, mode, workers, keep=False):
+    for chunk in _run_chunks(lo, hi, mode, workers, keep=sink is not None):
+        size = int(chunk.counts.sum())
+        if sink is not None:
+            for text in _csv_slices(chunk):
+                sink.write(text)
+            sink.flush()
+        if after is not None:
+            after(chunk.lo + size - 1)
         counts += chunk.counts
         exceptions.extend(chunk.exceptions)
-        done += int(chunk.counts.sum())
+        done += size
         if progress is not None:
             progress(done, hi - lo + 1)
     named = {name: int(c) for name, c in zip(STAGES, counts)}
@@ -797,15 +815,6 @@ def _csv_slices(chunk: _ChunkResult) -> Iterator[str]:
         yield words.view(np.uint8)[keep].tobytes().decode("ascii")
 
 
-def _write_csv(fh: TextIO, lo: int, hi: int, mode: str, workers: int | None) -> Iterator[_ChunkResult]:
-    """Write the CSV rows of [lo, hi] to fh, one write per slice, yielding
-    each chunk once all of its rows are written."""
-    for chunk in _run_chunks(lo, hi, mode, workers, keep=True):
-        for text in _csv_slices(chunk):
-            fh.write(text)
-        yield chunk
-
-
 def _write_checkpoint(path: str, run: dict, n: int) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
@@ -899,7 +908,7 @@ def scan_to_csv(
     rows kept from earlier runs included; its elapsed_seconds is this
     call's scanning time.
     """
-    _check_scan(lo, hi, mode)
+    _check_scan(lo, hi, mode, workers)
     run = {"mode": mode, "lo": lo, "hi": hi}
     start = lo
     open_mode = "w"
@@ -913,20 +922,12 @@ def scan_to_csv(
             last, counts, exceptions = kept
             start = last + 1
             open_mode = "a"
-    t0 = time.monotonic()
     if start > hi:
         return ScanSummary(lo, hi, mode, counts, exceptions, 0.0)
+    after = None if checkpoint_path is None else lambda n: _write_checkpoint(checkpoint_path, run, n)
     with open(out_path, open_mode, encoding="ascii") as fh:
         if open_mode == "w":
             fh.write(CSV_HEADER + "\n")
-        for chunk in _write_csv(fh, start, hi, mode, workers):
-            last = chunk.lo + chunk.stage.size - 1
-            fh.flush()
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, run, last)
-            for name, c in zip(STAGES, chunk.counts):
-                counts[name] += int(c)
-            exceptions.extend(chunk.exceptions)
-            if progress is not None:
-                progress(last - start + 1, hi - start + 1)
-    return ScanSummary(lo, hi, mode, counts, exceptions, time.monotonic() - t0)
+        new = _summarize(start, hi, mode, workers, progress, fh, after)
+    merged = {name: counts[name] + new.counts[name] for name in STAGES}
+    return ScanSummary(lo, hi, mode, merged, exceptions + new.exceptions, new.elapsed_seconds)

@@ -143,15 +143,18 @@ def test_scan_out_sidecar_and_stdout_are_the_summary_json(tmp_path, capsys, monk
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("to_csv", [False, True], ids=["summary", "csv"])
-def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, to_csv):
+# csv: rows to --out; stdout: rows to stdout (--format csv)
+@pytest.mark.parametrize("output", ["summary", "csv", "stdout"])
+def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, output):
     lo, hi = 9, 2 * scan.CHUNK + 100
     out = tmp_path / "rows.csv"
-    argv = ["scan", str(lo), str(hi), "--workers", "2"] + (["--out", str(out)] if to_csv else [])
+    argv = ["scan", str(lo), str(hi), "--workers", "2"]
+    argv += {"summary": [], "csv": ["--out", str(out)], "stdout": ["--format", "csv"]}[output]
     assert main(argv) == 0
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     lines = [json.loads(line) for line in err if line.startswith("{")]
+    to_csv = output == "csv"
     assert [line for line in err if not line.startswith("{")] == ([f"records written to {out}", f"summary written to {out}.summary.json"] if to_csv else [])
     total = hi - lo + 1
     done = [line["done"] for line in lines]
@@ -161,11 +164,25 @@ def test_scan_progress_is_one_json_line_per_chunk(tmp_path, capsys, to_csv):
         assert (line["label"], line["total"]) == (f"scan[{lo},{hi}] any", total)
         assert line["n_per_s"] > 0 and line["eta_s"] >= 0
     assert lines[-1]["eta_s"] == 0
+    if output == "stdout":
+        # the rows on stdout are the bytes that --out writes, and hold none of it
+        scan_to_csv(lo, hi, str(out), workers=1)
+        assert captured.out == out.read_text(encoding="ascii")
+        return
     # the summary on stdout, the CSV and its sidecar hold none of it
     assert set(json.loads(captured.out)) == {"lo", "hi", "mode", "counts", "exceptions", "elapsed_seconds"}
     if to_csv:
         assert len(out.read_text(encoding="ascii").splitlines()) == 1 + total
         assert json.loads((tmp_path / "rows.csv.summary.json").read_text()) == json.loads(captured.out)
+
+
+@pytest.mark.parametrize("output", [[], ["--format", "csv"], ["--out", "rows.csv"]], ids=["summary", "stdout", "out"])
+def test_scan_refuses_a_worker_count_below_one(tmp_path, capsys, monkeypatch, output):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "9", str(3 * scan.CHUNK), "--workers", "0"] + output) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need workers >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):

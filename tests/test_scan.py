@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -443,6 +444,28 @@ def test_interrupt_in_a_later_chunk_resumes_byte_identical(tmp_path, monkeypatch
     assert _digest(out) == _digest(clean)
 
 
+@pytest.mark.parametrize("mode", scan.MODES)
+def test_scan_to_csv_summary_is_the_scan_summary(tmp_path, monkeypatch, mode):
+    # chunks of two slices, so that three chunks and more stay small
+    monkeypatch.setattr(scan, "CHUNK", 2 * scan._SLICE)
+    # the first chunk holds 31416, the first other_divisor row
+    lo, hi = 28000, 28000 + 3 * scan.CHUNK + 100
+    run = scan_with_two if mode == "with-two" else scan_range
+    want = run(lo, hi, workers=1)
+    assert want.exceptions
+    fresh = scan_to_csv(lo, hi, str(tmp_path / "fresh.csv"), mode=mode, workers=1)
+    assert (fresh.lo, fresh.hi, fresh.mode, fresh.counts, fresh.exceptions) == (lo, hi, mode, want.counts, want.exceptions)
+
+    out, ckpt = tmp_path / "resumed.csv", tmp_path / "resumed.ckpt"
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(scan, "_csv_slices", stop_at_slice(3))  # one slice into the second chunk
+        scan_to_csv(lo, hi, str(out), mode=mode, checkpoint_path=str(ckpt), workers=1)
+    assert checkpoint_last(ckpt) == lo + scan.CHUNK - 1
+    resumed = scan_to_csv(lo, hi, str(out), mode=mode, checkpoint_path=str(ckpt), workers=1)
+    assert (resumed.lo, resumed.hi, resumed.mode, resumed.counts, resumed.exceptions) == (lo, hi, mode, want.counts, want.exceptions)
+    assert out.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_crash_mid_chunk_resumes_byte_identical(tmp_path):
     lo, hi = 9, CHUNK + 3000
     clean = tmp_path / "clean.csv"
@@ -465,15 +488,19 @@ def test_crash_mid_chunk_resumes_byte_identical(tmp_path):
 def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
     seen = []
     real = scan._write_checkpoint
+    out = tmp_path / "rows.csv"
 
     def record(path, run, n):
+        # the rows a checkpoint covers are on disk before it is written
+        rows = out.read_text(encoding="ascii").splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(lo, n + 1))
         seen.append(n)
         real(path, run, n)
 
     monkeypatch.setattr(scan, "_write_checkpoint", record)
     lo, hi = 9, 2 * CHUNK + 100
     ckpt = tmp_path / "rows.ckpt"
-    scan_to_csv(lo, hi, str(tmp_path / "rows.csv"), checkpoint_path=str(ckpt))
+    scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     assert seen == [lo + CHUNK - 1, lo + 2 * CHUNK - 1, hi]
     assert json.loads(ckpt.read_text()) == {"mode": "any", "lo": lo, "hi": hi, "last": hi}
 
@@ -659,9 +686,17 @@ def _records(lo, hi, mode):
 def test_csv_writer_makes_one_write_per_slice():
     lo, hi = 9, CHUNK + 3 * scan._SLICE + 100
     fh = _CountingText()
-    for chunk in scan._write_csv(fh, lo, hi, "any", 1):
-        assert fh.calls <= math.ceil(chunk.stage.size / scan._SLICE)
+    ends = [lo - 1]
+
+    def after(n):
+        # every row of the chunk is written before the hook sees its last n
+        assert 0 < fh.calls <= math.ceil((n - ends[-1]) / scan._SLICE)
+        assert fh.getvalue().endswith(format_record(scan_one(n)) + "\n")
         fh.calls = 0
+        ends.append(n)
+
+    scan._summarize(lo, hi, "any", 1, None, fh, after)
+    assert ends == [lo - 1, lo + CHUNK - 1, hi]
     assert _first_difference(fh.getvalue(), _records(lo, hi, "any")) is None
 
 
@@ -678,8 +713,7 @@ def test_csv_writer_makes_one_write_per_slice():
 )
 def test_csv_writer_matches_format_record(lo, hi, mode):
     fh = io.StringIO()
-    for _ in scan._write_csv(fh, lo, hi, mode, 1):
-        pass
+    scan._summarize(lo, hi, mode, 1, None, fh)
     text = fh.getvalue()
     assert _first_difference(text, _records(lo, hi, mode)) is None
     if hi == MAX_N:
@@ -839,6 +873,45 @@ def test_a_scan_left_early_keeps_the_pool(tmp_path):
     it.close()
     assert _rows(tmp_path, lo, 3 * CHUNK, 2) == _rows(tmp_path, lo, 3 * CHUNK, 1)
     assert _pool_pids() == pids
+
+
+def test_a_worker_count_above_the_cores_makes_one_worker_per_core(monkeypatch):
+    sizes = []
+
+    class Recorded(ThreadPoolExecutor):
+        """Threads in place of worker processes, so that no count forks."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    lo, hi = 9, 2 * CHUNK + 100
+    scan._close_pool()  # so that the next scan makes a pool
+    monkeypatch.setattr(scan.futures, "ProcessPoolExecutor", Recorded)
+    try:
+        got = list(iter_scan(lo, hi, workers=10**6))
+        cpus = os.cpu_count() or 1
+        assert sizes == ([cpus] if cpus > 1 else [])
+        if sizes:
+            assert scan._pool[:2] == (os.getpid(), cpus)
+    finally:
+        scan._close_pool()
+    assert got == list(iter_scan(lo, hi, workers=1))
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_a_worker_count_below_one_is_refused(tmp_path, workers):
+    out = tmp_path / "rows.csv"
+    calls = [
+        lambda: scan_range(9, 3 * CHUNK, workers=workers),
+        lambda: scan_with_two(9, 100, workers=workers),
+        lambda: next(iter_scan(9, 100, workers=workers)),
+        lambda: scan_to_csv(9, 100, str(out), workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"need workers >= 1, got {workers}"):
+            call()
+    assert not out.exists()
 
 
 def test_a_process_that_scanned_on_the_pool_exits_with_its_workers():
