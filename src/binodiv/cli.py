@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from .conditions import _witness, condition1_holds
+from .conditions import witness_for
 from .density import density_bound_report, dickman_rho, psi_count
 from .permgroup import (
     CycleType,
@@ -73,15 +73,12 @@ def _dump_json(body: dict, fh: TextIO) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    n, p, r = args.n, args.p, args.r
-    w, c1 = _witness(n, p, r)
-    if c1 is None:
-        c1 = condition1_holds(n, p, r)
+    w = witness_for(args.n, args.p, args.r)
     verdict = {
-        "n": n,
-        "p": p,
-        "r": r,
-        "condition1": c1,
+        "n": w.n,
+        "p": w.p,
+        "r": w.r,
+        "condition1": w.condition1,
         "condition2": w.holds,
         "route": w.stage,
     }

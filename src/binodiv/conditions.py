@@ -57,7 +57,7 @@ class ObstructionSet:
     """The k in (0, n) with p not dividing C(n, k).
 
     count is always exact (digit product formula).  members is the explicit
-    ascending enumeration, or None when count exceeded the requested cap.
+    ascending enumeration, or None when count exceeds OBSTRUCTION_CAP.
     """
 
     n: int
@@ -68,13 +68,14 @@ class ObstructionSet:
 
 @dataclass(frozen=True)
 class ConditionWitness:
-    """Outcome of a condition check for one (n, p, r), with the deciding route."""
+    """Both verdicts for one (n, p, r): Condition (1), and Condition (2)
+    (holds) with the route that decided it."""
 
     n: int
-    condition: str  # "condition1" | "condition2"
-    holds: bool
     p: int
     r: int
+    condition1: bool
+    holds: bool
     stage: str  # "small_table" | "prime_power_case" | "sieve_pair" | "direct_search"
 
 
@@ -122,11 +123,11 @@ def _dominated_mask(ks: np.ndarray, n: int, base: int) -> np.ndarray:
     return ok
 
 
-def obstructions(n: int, p: int, cap: int = OBSTRUCTION_CAP) -> ObstructionSet:
+def obstructions(n: int, p: int) -> ObstructionSet:
     """Carry-free k for (n, p): the k in (0, n) with p not dividing C(n, k)."""
     _check_n_prime(n, p)
     count = math.prod(d + 1 for d in digits(n, p)) - 2
-    return ObstructionSet(n, p, count, None if count > cap else _dominated_values(n, p)[1:-1])
+    return ObstructionSet(n, p, count, None if count > OBSTRUCTION_CAP else _dominated_values(n, p)[1:-1])
 
 
 def condition1_holds(n: int, p: int, r: int) -> bool:
@@ -338,29 +339,20 @@ def condition2_holds(n: int, p: int, r: int) -> bool:
 
 
 def witness_for(n: int, p: int, r: int) -> ConditionWitness:
-    """Condition (2) verdict plus the route that decided it."""
-    return _witness(n, p, r)[0]
-
-
-def _witness(n: int, p: int, r: int) -> tuple[ConditionWitness, bool | None]:
-    """witness_for(n, p, r), and the Condition (1) verdict where deciding
-    Condition (2) settled it (None elsewhere)."""
-    if n < 1:
-        raise ValueError("condition2_holds requires n >= 1")
+    """Condition (1) and Condition (2) for (n, p, r), each decided once, and
+    the route that decided Condition (2)."""
     _check_n_prime(n, p)
     _check_prime(r)
-    if n <= 8:
-        holds = all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n])
-        return ConditionWitness(n, "condition2", holds, p, r, "small_table"), None
-    pp = is_prime_power(n)
-    if pp is not None and pp.prime in (p, r):
-        return ConditionWitness(n, "condition2", True, p, r, "prime_power_case"), None
     c1 = _condition1(n, p, r)
-    if pp is not None:
+    if n <= 8:
+        holds, stage = all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n]), "small_table"
+    elif (pp := is_prime_power(n)) is not None and pp.prime in (p, r):
+        holds, stage = True, "prime_power_case"
+    elif pp is not None:
         holds, stage = c1 and _transitive_covered(n, p, r), "direct_search"
     else:
         holds, stage = c1, "sieve_pair" if _sieve_window_holds(n, p, r) else "direct_search"
-    return ConditionWitness(n, "condition2", holds, p, r, stage), c1
+    return ConditionWitness(n, p, r, c1, holds, stage)
 
 
 def _sieve_window_holds(n: int, p: int, r: int) -> bool:

@@ -751,22 +751,28 @@ def format_record(rec: ScanRecord) -> str:
     return f"{rec.n},{rec.stage},{p},{r},{pa},{rb}"
 
 
-def parse_record(line: str) -> ScanRecord:
+def _record_fields(line: str) -> list[str]:
+    """The fields n, stage, p, r, pa, rb of a CSV row, each number in decimal
+    digits.  They fit the stage: a witness p, r exactly when the stage is
+    not fail, and a sieve pair pa, rb exactly when it is sieve."""
     parts = line.rstrip("\n").split(",")
     if len(parts) != 6:
         raise ValueError(f"bad record line: {line!r}")
-    n = int(parts[0])
-    stage = parts[1]
+    n, stage, p, r, pa, rb = parts
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    # a row has a witness exactly when its stage is not fail, and a sieve
-    # pair exactly when its stage is sieve
-    has_witness, has_pair = any(parts[2:4]), any(parts[4:6])
-    if has_witness != (stage != "fail") or has_pair != (stage == "sieve"):
+    witness, pair = stage != "fail", stage == "sieve"
+    if (bool(p), bool(r), bool(pa), bool(rb)) != (witness, witness, pair, pair) or not (n + p + r + pa + rb).isdecimal():
         raise ValueError(f"fields do not fit stage {stage!r} in line {line!r}")
-    witness = (int(parts[2]), int(parts[3])) if has_witness else None
+    return parts
+
+
+def parse_record(line: str) -> ScanRecord:
+    parts = _record_fields(line)
+    n, stage = int(parts[0]), parts[1]
+    witness = (int(parts[2]), int(parts[3])) if parts[2] else None
     pair = None
-    if has_pair:
+    if parts[4]:
         pa = is_prime_power(int(parts[4]))
         rb = is_prime_power(int(parts[5]))
         if pa is None or rb is None:
@@ -866,13 +872,13 @@ def _resume_rows(path: str, lo: int, last_n: int) -> tuple[int, dict[str, int], 
             if not line.endswith(b"\n"):
                 break
             try:
-                n_txt, stage_txt, _ = line.split(b",", 2)
+                text = line.decode("ascii")
+                n_txt, stage = _record_fields(text)[:2]
                 n = int(n_txt)
-                stage = stage_txt.decode("ascii")
-                if n != last + 1 or n > last_n or stage not in counts:
+                if n != last + 1 or n > last_n:
                     break
                 if stage in ("other_divisor", "fail"):
-                    exceptions.append(parse_record(line.decode("ascii")))
+                    exceptions.append(parse_record(text))
                 counts[stage] += 1
             except ValueError:
                 break

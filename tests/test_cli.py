@@ -72,6 +72,33 @@ def test_check_decides_each_condition_once(capsys, monkeypatch):
     assert calls == {"_condition1": 1, "is_prime_power": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, route",
+    [
+        # n = 5**2 with 5 in the pair: accepted without the index families
+        (["25", "5", "2"], "prime_power_case"),
+        # 5 | 10 and 3**2 < 10 < 3**2 + 5
+        (["10", "5", "3"], "sieve_pair"),
+    ],
+)
+def test_check_reports_both_verdicts_on_each_route(capsys, argv, route):
+    code = main(["check", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    n, p, r = map(int, argv)
+    want = {"n": n, "p": p, "r": r, "condition1": True, "condition2": True, "route": route}
+    assert captured.out == json.dumps(want, indent=2) + "\n"
+
+
+def test_check_refuses_n_below_one(capsys):
+    code = main(["check", "0", "2", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: n must be a positive integer\n"
+
+
 def test_check_rejects_composite_prime_argument(capsys):
     code = main(["check", "9", "4", "5"])
     captured = capsys.readouterr()

@@ -58,7 +58,7 @@ def test_obstructions_prime_power_has_unique_least():
 
 def test_obstructions_cap():
     n = 2**21 - 1
-    got = obstructions(n, 2, cap=OBSTRUCTION_CAP)
+    got = obstructions(n, 2)
     assert got.count == n - 1 > OBSTRUCTION_CAP
     assert got.members is None
 
@@ -278,7 +278,25 @@ def test_witness_for_routes():
 
 def test_witness_fields():
     w = witness_for(12, 2, 3)
-    assert (w.n, w.condition, w.p, w.r) == (12, "condition2", 2, 3)
+    assert (w.n, w.p, w.r, w.condition1, w.holds, w.stage) == (12, 2, 3, True, True, "sieve_pair")
+
+
+def test_witness_decides_condition1_on_every_route():
+    # n <= 8 and the prime-power shortcut decide Condition (2) without the
+    # binomials, yet the witness still carries the Condition (1) verdict
+    stages = set()
+    for n in range(1, 301):
+        for p, r in itertools.product(SMALL_PRIMES, repeat=2):
+            w = witness_for(n, p, r)
+            assert w.condition1 == condition1_holds(n, p, r), (n, p, r)
+            stages.add(w.stage)
+    assert stages == {"small_table", "prime_power_case", "sieve_pair", "direct_search"}
+
+
+def test_witness_refuses_n_below_one():
+    for call in (witness_for, condition2_holds):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            call(0, 2, 3)
 
 
 def test_n_beyond_int64_is_refused():

@@ -52,3 +52,16 @@ def test_benchmark_tracing_finds_every_name(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     workloads = importlib.import_module("workloads")
     workloads.install_tracing(_StubTracer(), binodiv, [], [])
+
+
+def test_cli_imports_nothing_private_from_conditions():
+    # a point check goes through witness_for, the one place that decides it
+    tree = ast.parse(Path(binodiv.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("conditions", "binodiv.conditions")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

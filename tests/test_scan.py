@@ -374,6 +374,10 @@ def test_parse_record_rejects_malformed():
     for line in ("10,fail,2,3,,", "10,direct,,,,", "12,direct,2,11,4,11", "12,sieve,2,11,,"):
         with pytest.raises(ValueError):
             parse_record(line)
+    # p without r, pa without rb, or a field that is not a decimal number
+    for line in ("10,direct,5,,,", "10,sieve,5,3,5,", "10,sieve,5,3,,9", "10,direct,5,+3,,", "1_0,direct,5,3,,"):
+        with pytest.raises(ValueError, match="fields do not fit"):
+            parse_record(line)
 
 
 def test_scan_to_csv_matches_in_memory_scan(tmp_path):
@@ -541,19 +545,24 @@ def test_resume_with_torn_tail_line(tmp_path):
     assert _digest(out) == _digest(clean)
 
 
-def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path):
+@pytest.mark.parametrize("fields", ["bogus,,,,", "sieve,,,,", "direct,2,,,", "sieve,5,3,,9", "direct,2,x,,"])
+def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path, fields):
+    # an unknown stage, or fields that do not fit the stage: a sieve row
+    # without its witness or pair once survived a resume, so the file was
+    # neither the clean bytes nor one that read_csv accepts
     clean = tmp_path / "clean.csv"
-    scan_to_csv(9, 600, str(clean))
+    whole = scan_to_csv(9, 600, str(clean))
     out = tmp_path / "scan.csv"
     ckpt = tmp_path / "scan.ckpt"
     scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
     lines = out.read_text(encoding="ascii").splitlines(keepends=True)
     at = next(i for i, line in enumerate(lines) if line.startswith("300,"))
-    lines[at] = "300,bogus,,,,\n"
+    lines[at] = f"300,{fields}\n"
     out.write_text("".join(lines), encoding="ascii")
     summary = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
     assert _digest(out) == _digest(clean)
-    assert sum(summary.counts.values()) == 600 - 9 + 1
+    assert summary.counts == whole.counts
+    assert list(read_csv(str(out))) == list(read_csv(str(clean)))
 
 
 @pytest.mark.parametrize("edit", ["drop", "repeat", "garble"])
