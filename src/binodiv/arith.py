@@ -1,9 +1,9 @@
 """Integer arithmetic helpers: primality, factorization, digits, prime powers.
 
 Everything here is exact.  Primality is deterministic Miller-Rabin with a
-witness set that covers the full unsigned 64-bit range, factorization is
-trial division by small primes followed by Brent's cycle-finding variant of
-Pollard rho for the hard cofactors.
+witness set that covers the full unsigned 64-bit range; factorization is
+trial division by those twelve witness primes, 2 to 37, followed by Brent's
+cycle-finding variant of Pollard rho for the cofactor.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24 (covers 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_TRIAL_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -97,11 +94,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> np.ndarray:
-    return primes_upto(_TRIAL_LIMIT)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -148,19 +140,16 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-@lru_cache(maxsize=1024)
 def factorize(n: int) -> Factorization:
     """Exact prime factorization for 1 <= n < 2**64.
 
     Output is deterministic: the rho stage is seeded from n itself.
-    Cached: batch scans ask about the same n from several code paths.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     residue = n
     counts: dict[int, int] = {}
-    for p in _small_primes():
-        p = int(p)
+    for p in _MR_WITNESSES:
         if p * p > residue:
             break
         if residue % p == 0:

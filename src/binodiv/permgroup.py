@@ -405,20 +405,13 @@ def check_condition5(n: int) -> tuple[CycleType, CycleType] | None:
     """
     if not 5 <= n <= 8:
         raise ValueError("pair checks cover 5 <= n <= 8")
-    classes = _prime_order_classes(n)
-    sizes = {}
-    for ct, half in classes:
-        sizes[(ct, half)] = ct.class_size() // (2 if ct.splits() else 1)
-    for (ctC, hC), (ctD, hD) in itertools.combinations_with_replacement(classes, 2):
-        # sweep the smaller class; generation is symmetric in the pair
-        if sizes[(ctC, hC)] < sizes[(ctD, hD)]:
-            (ctC, hC), (ctD, hD) = (ctD, hD), (ctC, hC)
-            swapped = True
-        else:
-            swapped = False
-        ok = check_condition4_pair(n, ctC, ctD, splitC=hC or 0, splitD=hD or 0)
-        if ok:
-            return (ctD, ctC) if swapped else (ctC, ctD)
+    for a, b in itertools.combinations_with_replacement(_prime_order_classes(n), 2):
+        # sweep the smaller class (b on a tie, as the sort is stable);
+        # generation is symmetric in the pair.  A split class's half holds
+        # half of its members.
+        (ctC, hC), (ctD, hD) = sorted((a, b), key=lambda c: c[0].class_size() // (1 if c[1] is None else 2), reverse=True)
+        if check_condition4_pair(n, ctC, ctD, splitC=hC or 0, splitD=hD or 0):
+            return (a[0], b[0])
     return None
 
 

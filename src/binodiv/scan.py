@@ -753,8 +753,9 @@ def format_record(rec: ScanRecord) -> str:
 
 def _record_fields(line: str) -> list[str]:
     """The fields n, stage, p, r, pa, rb of a CSV row, each number in decimal
-    digits.  They fit the stage: a witness p, r exactly when the stage is
-    not fail, and a sieve pair pa, rb exactly when it is sieve."""
+    digits with no leading zero (no number is 0; an empty field means none).
+    They fit the stage: a witness p, r exactly when the stage is not fail,
+    and a sieve pair pa, rb exactly when it is sieve."""
     parts = line.rstrip("\n").split(",")
     if len(parts) != 6:
         raise ValueError(f"bad record line: {line!r}")
@@ -764,6 +765,8 @@ def _record_fields(line: str) -> list[str]:
     witness, pair = stage != "fail", stage == "sieve"
     if (bool(p), bool(r), bool(pa), bool(rb)) != (witness, witness, pair, pair) or not (n + p + r + pa + rb).isdecimal():
         raise ValueError(f"fields do not fit stage {stage!r} in line {line!r}")
+    if "0" in (n[:1], p[:1], r[:1], pa[:1], rb[:1]):
+        raise ValueError(f"leading zero in line {line!r}")
     return parts
 
 

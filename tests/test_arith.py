@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binodiv.arith
 from binodiv.arith import (
     Factorization,
     PrimePower,
@@ -70,13 +75,15 @@ def test_factorize_basics():
         factorize(0)
 
 
+def _factorint(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
 def test_factorize_round_trip_dense():
-    for n in range(1, 5000):
+    for n in range(1, 20001):
         f = factorize(n)
+        assert f.factors == _factorint(n), n
         assert f.reconstruct() == n
-        assert list(f.factors) == sorted(f.factors)
-        for p, e in f.factors:
-            assert e >= 1 and is_prime(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,6 +98,40 @@ def test_factorize_semiprime_of_big_primes():
     p, q = 1000003, 1000033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(p * p).factors == ((p, 2),)
+
+
+def test_factorize_matches_sympy_beyond_the_trial_primes():
+    # trial division stops at 37, so every prime factor from 41 up, repeated
+    # ones included, is left to rho
+    rng = random.Random(0xFAC7)
+    qs = [int(q) for q in primes_upto(1 << 21) if q > 37]
+    cases = [q**e for q in rng.sample(qs, 60) for e in range(2, 5) if q**e < 2**63]
+    cases += [41**e for e in range(1, 12)]
+    cases += [q1 * q1 * q2 for q1, q2 in (rng.sample(qs, 2) for _ in range(60))]
+    cases += [rng.randrange(2**40, 2**63) for _ in range(60)]
+    for n in cases:
+        assert factorize(n).factors == _factorint(n), n
+
+
+def test_point_queries_build_no_prime_table():
+    # a fresh interpreter, so no earlier test has built or cached a table;
+    # the root primes of scan are built on import, before the spy
+    code = """
+import binodiv.arith, binodiv.scan
+from binodiv.conditions import condition2_direct
+def spy(limit):
+    raise AssertionError(f"primes_upto({limit}) called")
+binodiv.arith.primes_upto = binodiv.scan.primes_upto = spy
+assert condition2_direct(46800, 2, 149)
+assert binodiv.arith.factorize(1000003 * 998244353).factors == ((1000003, 1), (998244353, 1))
+assert binodiv.scan.sieve_pair_for(10**9 + 10) is not None
+"""
+    pkg_root = str(Path(binodiv.arith.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": pythonpath}
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_divisors():

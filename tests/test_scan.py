@@ -378,6 +378,10 @@ def test_parse_record_rejects_malformed():
     for line in ("10,direct,5,,,", "10,sieve,5,3,5,", "10,sieve,5,3,,9", "10,direct,5,+3,,", "1_0,direct,5,3,,"):
         with pytest.raises(ValueError, match="fields do not fit"):
             parse_record(line)
+    # a number with a leading zero, which int() would read as the clean one
+    for line in ("0300,sieve,5,293,25,293", "300,sieve,05,293,25,293"):
+        with pytest.raises(ValueError, match="leading zero"):
+            parse_record(line)
 
 
 def test_scan_to_csv_matches_in_memory_scan(tmp_path):
@@ -545,11 +549,23 @@ def test_resume_with_torn_tail_line(tmp_path):
     assert _digest(out) == _digest(clean)
 
 
-@pytest.mark.parametrize("fields", ["bogus,,,,", "sieve,,,,", "direct,2,,,", "sieve,5,3,,9", "direct,2,x,,"])
-def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path, fields):
-    # an unknown stage, or fields that do not fit the stage: a sieve row
-    # without its witness or pair once survived a resume, so the file was
-    # neither the clean bytes nor one that read_csv accepts
+@pytest.mark.parametrize(
+    "row",
+    [
+        "300,bogus,,,,",
+        "300,sieve,,,,",
+        "300,direct,2,,,",
+        "300,sieve,5,3,,9",
+        "300,direct,2,x,,",
+        "0300,sieve,5,293,25,293",
+        "300,sieve,05,293,25,293",
+    ],
+)
+def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path, row):
+    # an unknown stage, fields that do not fit the stage, or a number with a
+    # leading zero (the clean row is 300,sieve,5,293,25,293); a sieve row
+    # without its witness or pair, or one with a leading zero, once survived
+    # a resume, so the file was not the clean bytes
     clean = tmp_path / "clean.csv"
     whole = scan_to_csv(9, 600, str(clean))
     out = tmp_path / "scan.csv"
@@ -557,7 +573,7 @@ def test_resume_rescans_damaged_rows_below_checkpoint(tmp_path, fields):
     scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
     lines = out.read_text(encoding="ascii").splitlines(keepends=True)
     at = next(i for i, line in enumerate(lines) if line.startswith("300,"))
-    lines[at] = f"300,{fields}\n"
+    lines[at] = f"{row}\n"
     out.write_text("".join(lines), encoding="ascii")
     summary = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
     assert _digest(out) == _digest(clean)
