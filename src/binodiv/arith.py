@@ -1,9 +1,9 @@
 """Integer arithmetic helpers: primality, factorization, digits, prime powers.
 
 Everything here is exact.  Primality is deterministic Miller-Rabin with a
-witness set that covers the full unsigned 64-bit range; factorization is
-trial division by those twelve witness primes, 2 to 37, followed by Brent's
-cycle-finding variant of Pollard rho for the cofactor.
+witness set that is exact below psi_12 > 2**78, and larger n are refused;
+factorization is trial division by those twelve witness primes, 2 to 37,
+followed by Brent's cycle-finding variant of Pollard rho for the cofactor.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ __all__ = [
     "primes_upto",
 ]
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24 (covers 2**64).
+# Miller-Rabin with the twelve prime bases up to 37 is exact below psi_12,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017); psi_12 = 399165290221 * 798330580441 > 2**78.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,14 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all 0 <= n < 2**64."""
+    """Deterministic primality test, exact for 0 <= n < psi_12 (about 3.2e23).
+
+    Larger n raise ValueError: psi_12 itself passes every round.
+    """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -17,7 +17,7 @@ import time
 from typing import Callable, TextIO
 
 from .conditions import witness_for
-from .density import density_bound_report, dickman_rho, psi_count
+from .density import U_MAX, density_bound_report, dickman_rho, psi_count
 from .permgroup import (
     CycleType,
     _reaches_order,
@@ -150,7 +150,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     out = {"x": args.x, "y": args.y, "count": count.count, "ratio": count.count / args.x}
     if args.y >= 2:
         u = math.log(args.x) / math.log(args.y)
-        if u <= 30.0:
+        if u <= U_MAX:
             out["u"] = round(u, 6)
             out["rho_u"] = dickman_rho(u)
     print(json.dumps(out, indent=2))

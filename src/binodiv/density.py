@@ -1,10 +1,13 @@
 """Dickman rho and exact smooth-number counts.
 
 rho solves u*rho'(u) = -rho(u-1) with rho = 1 on [0, 1] and sits around
-2.5e-29 by u = 20, so the construction works panel by panel on [k, k+1]:
-each panel is a Taylor polynomial about its midpoint, derived from the
-previous panel's series in extended precision and pinned by continuity
-at the left endpoint.  Evaluation afterwards is float64 Horner.
+2.5e-29 by u = 20, so it is built panel by panel on [k, k+1], each a
+power series in t = k + 1 - u whose terms are all positive (van de Lune
+and Wattel, Math. Comp. 23, 1969): the delay equation gives the series
+of rho' from the previous panel's, and the identity u*rho(u) =
+int_{u-1}^{u} rho fixes the constant term.  With no cancellation
+anywhere, float64 keeps about 14 digits at every u, and evaluation is
+float64 Horner.
 
 Psi(x, y) counts integers in [1, x] with no prime factor above y; it is
 exact, by a largest-prime-factor sieve.
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .arith import primes_upto
@@ -30,11 +32,7 @@ __all__ = [
 
 U_MAX = 30
 
-_TERMS = 48  # Taylor terms per panel; tails decay at least geometrically
-# the continuity constant of each panel carries absolute error from the
-# previous, larger scaled panel, costing a couple of digits per unit of u;
-# working precision has to cover the ~48 digit fall of rho plus headroom
-_DPS = 100
+_TERMS = 48  # series terms per panel; each panel converges for |t| < 2
 
 PSI_X_CAP = 10**7
 
@@ -46,45 +44,27 @@ class PsiCount:
     count: int
 
 
-@lru_cache(maxsize=1)
-def _panels() -> list[tuple[float, ...]]:
-    """Taylor coefficients of rho about k + 1/2, one tuple per unit panel.
+def _build_panels() -> tuple[tuple[float, ...], ...]:
+    """Coefficients a_i of rho(k + 1 - t) = sum a_i t^i, one tuple per k.
 
-    Panel k's series in t = u - (k + 1/2) comes from the previous panel:
-    rho'(m + t) = -rho(m - 1 + t) / (m + t), and the shifted argument
-    lands at the same offset t from the previous midpoint, so the product
-    with the geometric series for 1/(m + t) and one termwise integration
-    give the new coefficients up to the continuity constant.
+    With a' the previous panel's coefficients, u*rho'(u) = -rho(u - 1)
+    and 1/(k + 1 - t) = sum t^j / (k + 1)^(j + 1) give
+    (i + 1) a_{i+1} = sum_{j <= i} a'_j / (k + 1)^(i - j + 1), and
+    (k + 1) rho(k + 1) = int_0^1 sum a_i t^i dt gives
+    a_0 = sum_{i >= 1} a_i / (i + 1) / k.
     """
-    with mpmath.workdps(_DPS):
-        one = mpmath.mpf(1)
-        panels = [[one] + [mpmath.mpf(0)] * (_TERMS - 1)]
-        left_value = one  # rho at the left edge of the next panel
-        for k in range(1, U_MAX):
-            m = mpmath.mpf(2 * k + 1) / 2
-            prev = panels[k - 1]
-            # inv[i]: coefficient of t^i in 1/(m + t)
-            inv = [(-1) ** i / m ** (i + 1) for i in range(_TERMS)]
-            deriv = [
-                -mpmath.fsum(prev[l] * inv[j - l] for l in range(j + 1))
-                for j in range(_TERMS)
-            ]
-            coeffs = [mpmath.mpf(0)] * _TERMS
-            for j in range(_TERMS - 1):
-                coeffs[j + 1] = deriv[j] / (j + 1)
-            half = mpmath.mpf(1) / 2
-            tail = mpmath.fsum(coeffs[j] * (-half) ** j for j in range(1, _TERMS))
-            coeffs[0] = left_value - tail
-            panels.append(coeffs)
-            left_value = mpmath.fsum(c * half**j for j, c in enumerate(coeffs))
-        return [tuple(float(c) for c in p) for p in panels]
+    i = np.arange(1, _TERMS)
+    panels = [np.eye(1, _TERMS)[0]]  # rho = 1 on [0, 1]
+    for k in range(1, U_MAX):
+        inv = (k + 1.0) ** -i
+        a = np.empty(_TERMS)
+        a[1:] = np.convolve(panels[-1][:-1], inv)[: _TERMS - 1] / i
+        a[0] = (a[1:] / (i + 1)).sum() / k
+        panels.append(a)
+    return tuple(tuple(p.tolist()) for p in panels)
 
 
-def _eval_panel(coeffs: tuple[float, ...], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+_PANELS = _build_panels()
 
 
 def dickman_rho(u: float) -> float:
@@ -93,18 +73,26 @@ def dickman_rho(u: float) -> float:
         raise ValueError(f"u = {u} outside [0, {U_MAX}]")
     if u <= 1:
         return 1.0
-    k = min(int(u), U_MAX - 1)  # u = U_MAX evaluates the last panel at t = 1/2
-    return _eval_panel(_panels()[k], u - (k + 0.5))
+    k = min(int(u), U_MAX - 1)  # u = U_MAX evaluates the last panel at t = 0
+    t = k + 1 - u
+    acc = 0.0
+    for c in reversed(_PANELS[k]):
+        acc = acc * t + c
+    return acc
 
 
 def psi_count(x: int, y: float) -> PsiCount:
     """Exact Psi(x, y) by table lookup of largest prime factors."""
     if not 1 <= x <= PSI_X_CAP:
         raise ValueError(f"x = {x} outside [1, {PSI_X_CAP}]")
+    try:
+        y = float(y)
+    except OverflowError:
+        raise ValueError("y is too large for a float64") from None
     lpf = _largest_prime_factors(x)
     # 1 has no prime factor, so it counts for every y
     count = 1 + int(np.count_nonzero(lpf[2:] <= y))
-    return PsiCount(x, float(y), count)
+    return PsiCount(x, y, count)
 
 
 @lru_cache(maxsize=2)

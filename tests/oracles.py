@@ -2,19 +2,21 @@
 
 Direct, slower routes to quantities the package decides another way:
 exact equipartition indices, group orders by breadth-first closure, Dickman
-rho tabulated on a mesh, the prime-order window pair, and the largest prime
-power below n by a downward scan.
+rho from 100-digit Taylor panels tabulated on a mesh, the prime-order window
+pair, and the largest prime power below n by a downward scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from binodiv.arith import PrimePower, factorize, is_prime, is_prime_power
-from binodiv.density import U_MAX, _panels
+from binodiv.density import U_MAX
 from binodiv.kummer import _check_block
 from binodiv.permgroup import Permutation
 from binodiv.scan import _check_scan_n
@@ -22,6 +24,11 @@ from binodiv.scan import _check_scan_n
 _EQUIPARTITION_N_CAP = 10**3
 _NAIVE_CAP = 20160
 MESH_STEP = 2.0**-10
+_RHO_TERMS = 48  # Taylor terms per panel; tails decay at least geometrically
+# the continuity constant of each panel carries absolute error from the
+# previous, larger scaled panel, costing a couple of digits per unit of u;
+# working precision has to cover the ~48 digit fall of rho plus headroom
+_RHO_DPS = 100
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,42 @@ def naive_closure_order(generators: list[Permutation]) -> int:
     return len(elems)
 
 
+@lru_cache(maxsize=1)
+def reference_rho_panels() -> list[tuple[float, ...]]:
+    """Taylor coefficients of rho about k + 1/2, one tuple per unit panel.
+
+    Panel k's series in t = u - (k + 1/2) comes from the previous panel:
+    rho'(m + t) = -rho(m - 1 + t) / (m + t), and the shifted argument
+    lands at the same offset t from the previous midpoint, so the product
+    with the geometric series for 1/(m + t) and one termwise integration
+    give the new coefficients up to the continuity constant.  Unlike the
+    package's positive series, this route alternates in sign and so works
+    in 100-digit arithmetic.
+    """
+    with mpmath.workdps(_RHO_DPS):
+        one = mpmath.mpf(1)
+        panels = [[one] + [mpmath.mpf(0)] * (_RHO_TERMS - 1)]
+        left_value = one  # rho at the left edge of the next panel
+        for k in range(1, U_MAX):
+            m = mpmath.mpf(2 * k + 1) / 2
+            prev = panels[k - 1]
+            # inv[i]: coefficient of t^i in 1/(m + t)
+            inv = [(-1) ** i / m ** (i + 1) for i in range(_RHO_TERMS)]
+            deriv = [
+                -mpmath.fsum(prev[l] * inv[j - l] for l in range(j + 1))
+                for j in range(_RHO_TERMS)
+            ]
+            coeffs = [mpmath.mpf(0)] * _RHO_TERMS
+            for j in range(_RHO_TERMS - 1):
+                coeffs[j + 1] = deriv[j] / (j + 1)
+            half = mpmath.mpf(1) / 2
+            tail = mpmath.fsum(coeffs[j] * (-half) ** j for j in range(1, _RHO_TERMS))
+            coeffs[0] = left_value - tail
+            panels.append(coeffs)
+            left_value = mpmath.fsum(c * half**j for j, c in enumerate(coeffs))
+        return [tuple(float(c) for c in p) for p in panels]
+
+
 @dataclass(frozen=True)
 class RhoTable:
     """Uniform mesh of (u, rho(u)) values on [0, u_max]."""
@@ -89,7 +132,7 @@ class RhoTable:
 
 
 def build_rho_table(u_max: float = float(U_MAX), step: float = MESH_STEP) -> RhoTable:
-    """Tabulate rho on a uniform mesh over [0, u_max]."""
+    """Tabulate rho on a uniform mesh over [0, u_max] from the reference panels."""
     if not 0 < u_max <= U_MAX:
         raise ValueError(f"u_max = {u_max} outside (0, {U_MAX}]")
     if step <= 0:
@@ -97,7 +140,7 @@ def build_rho_table(u_max: float = float(U_MAX), step: float = MESH_STEP) -> Rho
     n = int(round(u_max / step))
     us = np.arange(n + 1, dtype=np.float64) * step
     rho = np.ones(n + 1, dtype=np.float64)
-    panels = _panels()
+    panels = reference_rho_panels()
     for k in range(1, U_MAX):
         lo, hi = k, min(k + 1, u_max)
         if lo >= u_max:

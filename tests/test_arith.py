@@ -65,6 +65,20 @@ def test_is_prime_mersenne_and_carmichael():
         assert not is_prime(n)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+def test_is_prime_refuses_the_twelve_base_pseudoprime():
+    # psi_12 passes all twelve Miller-Rabin rounds, so it cannot be answered
+    assert not sympy.isprime(PSI_12)
+    with pytest.raises(ValueError):
+        is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        is_prime(PSI_12 + 2)
+    for n in range(PSI_12 - 200, PSI_12):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_factorize_basics():
     assert isinstance(factorize(6), Factorization)
     assert factorize(1).factors == ()

@@ -310,6 +310,15 @@ def test_check_refuses_n_beyond_int64(capsys):
     assert "int64" in captured.err
 
 
+def test_check_refuses_r_beyond_the_primality_bound(capsys):
+    # 318665857834031151167461 is composite but passes all twelve
+    # Miller-Rabin rounds; it once got a verdict (exit 1)
+    assert main(["check", "9", "2", "318665857834031151167461"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_hist_stdout(capsys):
     code = main(["hist", "1000", "128"])
     captured = capsys.readouterr()
@@ -374,6 +383,14 @@ def test_psi_counts_one_below_every_prime(capsys):
     body = json.loads(capsys.readouterr().out)
     assert code == 0
     assert body["count"] == 1 and body["y"] == -1
+
+
+def test_psi_refuses_y_beyond_float(capsys):
+    # this y once died in an OverflowError traceback, exit 1
+    assert main(["psi", "100", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_gaps(capsys):

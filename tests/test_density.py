@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import binodiv
 from binodiv.arith import primes_upto
 from binodiv.density import (
     PSI_X_CAP,
@@ -95,6 +100,36 @@ def test_rho_bounds():
     assert dickman_rho(U_MAX) > 0
 
 
+def test_rho_matches_reference_panels():
+    # the positive float64 series against the 100-digit midpoint panels,
+    # with a tolerance fixed before the comparison was first run
+    table = build_rho_table(float(U_MAX), 2.0**-12)
+    us, want = table.values[:, 0], table.values[:, 1]
+    got = np.array([dickman_rho(float(u)) for u in us])
+    assert us[-1] == U_MAX
+    assert np.max(np.abs(got / want - 1)) <= 1e-13
+    assert (got > 0).all()
+    assert (np.diff(got[us > 1.0]) < 0).all()
+
+
+def test_rho_and_psi_load_no_mpmath():
+    # a fresh interpreter, so no test module has imported mpmath yet
+    code = """
+import sys
+import binodiv, binodiv.cli
+binodiv.dickman_rho(20.0)
+binodiv.psi_count(1000, 10)
+binodiv.cli.main(["psi", "1000", "10"])
+assert "mpmath" not in sys.modules, "mpmath was imported"
+"""
+    pkg_root = str(Path(binodiv.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": pythonpath}
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_rho_table_matches_pointwise():
     table = build_rho_table(8.0, 1.0 / 256)
     for u, rho in table.values[:: 37]:
@@ -157,6 +192,9 @@ def test_psi_bounds():
         psi_count(0, 10)
     with pytest.raises(ValueError):
         psi_count(PSI_X_CAP + 1, 10)
+    for y in (10**400, -(10**400)):
+        with pytest.raises(ValueError):
+            psi_count(100, y)
 
 
 def test_psi_ratio_tracks_rho():
