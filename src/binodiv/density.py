@@ -88,7 +88,7 @@ def psi_count(x: int, y: float) -> PsiCount:
     try:
         y = float(y)
     except OverflowError:
-        raise ValueError("y is too large for a float64") from None
+        raise ValueError("y outside the float64 range (about 1.8e308 in magnitude)") from None
     lpf = _largest_prime_factors(x)
     # 1 has no prime factor, so it counts for every y
     count = 1 + int(np.count_nonzero(lpf[2:] <= y))

@@ -385,12 +385,14 @@ def test_psi_counts_one_below_every_prime(capsys):
     assert body["count"] == 1 and body["y"] == -1
 
 
-def test_psi_refuses_y_beyond_float(capsys):
+@pytest.mark.parametrize("y", [10**400, -(10**400)], ids=["+1e400", "-1e400"])
+def test_psi_refuses_y_beyond_float(capsys, y):
     # this y once died in an OverflowError traceback, exit 1
-    assert main(["psi", "100", str(10**400)]) == 2
+    assert main(["psi", "100", str(y)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert "outside the float64 range" in captured.err
 
 
 def test_gaps(capsys):

@@ -193,7 +193,7 @@ def test_psi_bounds():
     with pytest.raises(ValueError):
         psi_count(PSI_X_CAP + 1, 10)
     for y in (10**400, -(10**400)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the float64 range"):
             psi_count(100, y)
 
 
