@@ -117,9 +117,7 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite n (not necessarily prime)."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of odd composite n (not necessarily prime)."""
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -243,8 +241,6 @@ def is_prime_power(n: int) -> PrimePower | None:
         return PrimePower(n, 1, n)
     for e in range(2, n.bit_length()):
         r = _iroot(n, e)
-        if r < 2:
-            break
         if r**e == n and is_prime(r):
             return PrimePower(r, e, n)
     return None

@@ -30,13 +30,12 @@ from .permgroup import (
 )
 from .scan import (
     CSV_HEADER,
+    MODES,
     _check_scan,
     _summarize,
     failure_histogram,
     prime_gap_stats,
-    scan_range,
     scan_to_csv,
-    scan_with_two,
 )
 
 # generating pairs of prime-power order, one row per degree
@@ -103,25 +102,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             progress=progress,
         )
         print(f"records written to {args.out}", file=sys.stderr)
+    else:
+        # _summarize checks only once it runs, after the header
+        _check_scan(args.lo, args.hi, mode, args.workers)
+        sink = sys.stdout if args.format == "csv" else None
+        if sink is not None:
+            print(CSV_HEADER)
+        summary = _summarize(args.lo, args.hi, mode, args.workers, progress, sink)
+    body = summary.to_dict() if args.out or args.format == "json" else None
+    if args.out:
         summary_path = args.out + ".summary.json"
-        body = summary.to_dict()
         with open(summary_path, "w", encoding="ascii") as fh:
             _dump_json(body, fh)
         print(f"summary written to {summary_path}", file=sys.stderr)
-        if args.format == "json":
-            _dump_json(body, sys.stdout)
-        counts = summary.counts
-    elif args.format == "csv":
-        # _summarize checks only once it runs, after the header
-        _check_scan(args.lo, args.hi, mode, args.workers)
-        print(CSV_HEADER)
-        counts = _summarize(args.lo, args.hi, mode, args.workers, progress, sys.stdout).counts
-    else:
-        run = scan_with_two if mode == "with-two" else scan_range
-        summary = run(args.lo, args.hi, workers=args.workers, progress=progress)
-        _dump_json(summary.to_dict(), sys.stdout)
-        counts = summary.counts
-    return 0 if mode == "with-two" or counts["fail"] == 0 else 1
+    if args.format == "json":
+        _dump_json(body, sys.stdout)
+    return 0 if mode == "with-two" or summary.counts["fail"] == 0 else 1
 
 
 def _cmd_hist(args: argparse.Namespace) -> int:
@@ -245,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="classify a range of n")
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
-    p_scan.add_argument("--mode", choices=("any", "with-two"), default="any")
+    p_scan.add_argument("--mode", choices=MODES, default="any")
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--out", help="CSV output path (summary lands beside it)")
     p_scan.add_argument("--checkpoint", help="checkpoint file for resumable runs")

@@ -358,16 +358,13 @@ def check_condition4_pair(
 
     Fixes the first member c of C and sweeps all of D: any pair is
     simultaneously conjugate to one (c, d), since C is a single class.
+    class_members refuses a type of another degree, or an odd one.
     """
     if not 5 <= n <= 8:
         raise ValueError("pair checks cover 5 <= n <= 8")
     for ct, half in ((ctC, splitC), (ctD, splitD)):
         if half not in (0, 1):
             raise ValueError("half must be 0 or 1")
-        if ct.degree != n:
-            raise ValueError("degree mismatch")
-        if not ct.is_even():
-            raise ValueError(f"cycle type {ct.parts} is odd")
         order = ct.element_order()
         if is_prime_power(order) is None:
             raise ValueError(f"element order {order} is not a prime power")

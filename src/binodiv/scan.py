@@ -183,6 +183,8 @@ def _check_scan(lo: int, hi: int, mode: str, workers: int | None) -> None:
 
 # the primes up to sqrt(MAX_N), which factor every n of a scan or search
 _ROOT_PRIMES = primes_upto(_iroot(MAX_N, 2))
+# the primes below _SMALL_BOUND, the first band of every partner search
+_SMALL_PRIMES = _ROOT_PRIMES[_ROOT_PRIMES < _SMALL_BOUND]
 
 
 def _root_primes(top: int) -> np.ndarray:
@@ -190,15 +192,14 @@ def _root_primes(top: int) -> np.ndarray:
     return _ROOT_PRIMES[: int(np.searchsorted(_ROOT_PRIMES, _iroot(top, 2), side="right"))]
 
 
-def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int | None = None):
+def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray):
     """Factor blocks of consecutive integers over primes.
 
     Block i holds the sizes[i] integers up to ends[i]; the blocks lie end to
     end in slots.  Returns per slot the integer with the part of every prime
-    of primes divided out, its largest such prime-power part and that
-    part's prime (1 and 1 where none divides it), and the pinned prime's
-    part (the largest part itself when none is pinned); and the pairs (i, q)
-    with q dividing an integer of block i, ascending in i and then q.
+    of primes divided out, and its largest such prime-power part and that
+    part's prime (1 and 1 where none divides it); and the pairs (i, q) with
+    q dividing an integer of block i, ascending in i and then q.
 
     A lone block strides through the multiples of each prime up to the root
     of its length, as there are many.  Every other prime gives all of its
@@ -207,7 +208,6 @@ def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int 
     start = np.cumsum(sizes) - sizes
     rem = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(ends - sizes + 1 - start, sizes)
     top, top_q = np.ones_like(rem), np.ones_like(rem)
-    pin = top if pinned is None else np.ones_like(rem)
     # q divides an integer of block i exactly when ends[i] mod q < sizes[i]
     back = ends[:, None] % primes
     i, j = np.nonzero(back < sizes[:, None])
@@ -223,8 +223,6 @@ def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int 
             part[-lo % power // q :: power // q] *= q
             power *= q
         rem[sl] //= part
-        if q == pinned:
-            pin[sl] = part
         upd = part > top[sl]
         np.copyto(top[sl], part, where=upd)
         np.copyto(top_q[sl], q, where=upd)
@@ -251,9 +249,7 @@ def _sieve(ends: np.ndarray, sizes: np.ndarray, primes: np.ndarray, pinned: int 
     big = np.maximum.reduceat(part * primes.size + jq, first)
     upd = big // primes.size > top[own]
     top[own[upd]], top_q[own[upd]] = big[upd] // primes.size, primes[big[upd] % primes.size]
-    if pinned is not None:
-        pin[slot[q == pinned]] = part[q == pinned]
-    return rem, top, top_q, pin, (i, primes[j])
+    return rem, top, top_q, (i, primes[j])
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +272,15 @@ def sieve_pair_for(n: int) -> tuple[PrimePower, PrimePower] | None:
     return None
 
 
+def _p_part(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """p**v_p(n) for each n of ns and p of ps."""
+    part, at = np.ones_like(ns), np.flatnonzero(ns % ps == 0)
+    while at.size:
+        part[at] *= ps[at]
+        at = at[ns[at] % (part[at] * ps[at]) == 0]
+    return part
+
+
 def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """For each i the least prime r < ns[i] with condition2_direct(ns[i],
     ps[i], r), or 0 where there is none; no n may be a prime power, so
@@ -286,25 +291,25 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     (Kummer: the sum k + (n - k) carries in base r), the least of which is
     k0 = p**v_p(n); so the candidates are the prime divisors of C(n, k0).
     They come from _term_divisors, or, where the k0 numerator terms would
-    make a block longer than a chunk, from _swept over the primes below the
-    group's largest such n.  A scan never sweeps: its residual n fail
-    window A, so k0 is at most n minus the prime power below n.  One
-    _condition1_many call decides the candidates below _SMALL_BOUND, and
-    one more the rest of the pairs still open.  Pairs go _GROUP at a time.
+    make a block longer than a chunk, from _swept over the primes below
+    each such n.  A scan never sweeps: its residual n fail window A, so k0
+    is at most n minus the prime power below n.  One _condition1_many call
+    decides the candidates below _SMALL_BOUND, and one more the rest of the
+    pairs still open; only the second builds a prime table, up to the
+    largest n that still sweeps.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
         n, p, f = ns[g], ps[g], found[g]
-        k0 = np.ones_like(n)
-        while (more := n % (k0 * p) == 0).any():
-            k0[more] *= p[more]
+        k0 = _p_part(n, p)
         sweep = k0 > CHUNK
         owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep))
-        primes = primes_upto(int(n[sweep].max())) if sweep.any() else _ROOT_PRIMES[:0]
-        split = int(np.searchsorted(primes, _SMALL_BOUND))
-        for band, in_band in ((primes[:split], qs < _SMALL_BOUND), (primes[split:], qs >= _SMALL_BOUND)):
-            more_owner, more_qs = _swept(n, k0, np.flatnonzero(sweep & (f == 0)), band)
+        for small in (True, False):
+            rows = np.flatnonzero(sweep & (f == 0))
+            band = primes_upto(int(n[rows].max()))[_SMALL_PRIMES.size :] if rows.size and not small else _SMALL_PRIMES
+            more_owner, more_qs = _swept(n, k0, rows, band)
+            in_band = (qs < _SMALL_BOUND) == small
             o, q = np.concatenate((owner[in_band], more_owner)), np.concatenate((qs[in_band], more_qs))
             at = np.flatnonzero(f[o] == 0)
             hit = at[_condition1_many(n[o[at]], p[o[at]], q[at])]
@@ -323,7 +328,7 @@ def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
     """
     n, k = ns[rows], ks[rows]
     top = int(n.max(initial=0))
-    rem, _, _, _, (i, q) = _sieve(n, k, _root_primes(top))
+    rem, _, _, (i, q) = _sieve(n, k, _root_primes(top))
     big = rem > 1
     term = np.repeat(np.arange(rows.size), k)
     # one key per pair sorts by i, then q (no q exceeds top); a diff drops
@@ -419,16 +424,14 @@ class _ChunkResult:
     exceptions: list[ScanRecord]
 
 
-def _lppd_arrays(ns: np.ndarray, pinned: int | None):
-    """Largest prime-power divisor (value, base) for each n in the block,
-    and the base prime's part of each n: the pinned prime's part, or the
-    lppd value itself when nothing is pinned."""
-    rem, best_val, best_p, base_part, _ = _sieve(ns[-1:], np.array([ns.size]), _root_primes(int(ns[-1])), pinned)
+def _lppd_arrays(ns: np.ndarray):
+    """Largest prime-power divisor (value, base) for each n in the block."""
+    rem, best_val, best_p, _ = _sieve(ns[-1:], np.array([ns.size]), _root_primes(int(ns[-1])))
     # whatever survives trial division is 1 or a single prime above sqrt
     upd = rem > best_val
     best_val[upd] = rem[upd]
     best_p[upd] = rem[upd]
-    return best_val, best_p, base_part
+    return best_val, best_p
 
 
 def _pow_below(ns: np.ndarray, prime: int) -> np.ndarray:
@@ -470,7 +473,7 @@ def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
     prime, which every pair must contain (None: any pair)."""
     pinned = _PINNED[mode]
     ns = np.arange(a, b + 1, dtype=np.int64)
-    lppd_val, lppd_p, base_part = _lppd_arrays(ns, pinned)
+    lppd_val, lppd_p = _lppd_arrays(ns)
     # n is a prime power exactly when it is its own lppd; the largest prime
     # power below any other n is the last one in the chunk before n, or else
     # the one below a (the rows of prime powers never read it)
@@ -479,13 +482,14 @@ def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
     below = largest_prime_power_below(a)
     prevpp = np.where(last >= 0, ns[last], below.value)
     prev_base = np.where(last >= 0, lppd_p[last], below.prime)
-    # each n's base prime and its largest power below n; with nothing
-    # pinned the base is the lppd's prime and has no power below, which
-    # leaves window B empty
+    # each n's base prime, its part of n and its largest power below n;
+    # with nothing pinned the base is the lppd's prime and has no power
+    # below, which leaves window B empty
     if pinned is None:
-        base, base_below = lppd_p, np.zeros(ns.size, dtype=np.int64)
+        base, base_part, base_below = lppd_p, lppd_val, np.zeros(ns.size, dtype=np.int64)
     else:
-        base, base_below = np.full_like(ns, pinned), _pow_below(ns, pinned)
+        base = np.full_like(ns, pinned)
+        base_part, base_below = _p_part(ns, base), _pow_below(ns, pinned)
 
     stage = np.empty(ns.size, dtype=np.uint8)
     wp = np.zeros(ns.size, dtype=np.int64)

@@ -2,8 +2,8 @@
 
 Each test prints one verdict line (run pytest with -s to see them) and then
 asserts the same facts, so a red test always names its criterion.  The two
-large scans are module fixtures; expect the whole module to take about ten
-minutes, nearly all of it in the restricted-mode scan of [9, 10^6].
+large scans are module fixtures; the whole module takes about 21 s on a
+2-vCPU KVM guest, half of it in the restricted-mode scan of [9, 10^6].
 """
 
 import hashlib

@@ -444,6 +444,16 @@ def test_partners_above_the_small_bound_match_oracle_on_both_routes(monkeypatch,
 def test_a_term_block_longer_than_a_chunk_is_swept(monkeypatch, n, p, r):
     assert _k0(n, p) > scan.CHUNK
     swept = _spy_swept(monkeypatch)
+    limits = []
+    real = scan.primes_upto
+
+    def spy(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(scan, "primes_upto", spy)
     assert direct_search(n, p) == least_partner(n, p) == r
-    # the small band settles the pair, so the large band searches no row
+    # the small band settles the pair, so the large band searches no row and
+    # builds no prime table
     assert [size for size, _ in swept] == [1, 0]
+    assert limits == []

@@ -327,15 +327,18 @@ def test_condition4_failing_pairs():
 
 
 def test_condition4_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pair checks cover"):
         check_condition4_pair(9, CycleType(9, (3,) * 3), CycleType(9, (9,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is odd"):
         check_condition4_pair(6, CycleType(6, (2, 1, 1, 1, 1)), CycleType(6, (5, 1)))
-    with pytest.raises(ValueError):
-        # element order 6 is not a prime power
-        check_condition4_pair(6, CycleType(6, (3, 2, 1)), CycleType(6, (5, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is odd"):
+        check_condition4_pair(6, CycleType(6, (5, 1)), CycleType(6, (4, 1, 1)))
+    with pytest.raises(ValueError, match="element order 6 is not a prime power"):
+        check_condition4_pair(8, CycleType(8, (3, 2, 2, 1)), CycleType(8, (7, 1)))
+    with pytest.raises(ValueError, match="degree mismatch"):
         check_condition4_pair(6, CycleType(5, (5,)), CycleType(6, (5, 1)))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        check_condition4_pair(6, CycleType(6, (5, 1)), CycleType(7, (7,)))
     five = CycleType(5, (5,))
     for half in (2, -1):
         with pytest.raises(ValueError, match="half must be 0 or 1"):

@@ -294,8 +294,9 @@ def test_window_columns_match_the_scalar_route_across_chunk_seams(lo, mode):
 def test_lppd_arrays_match_the_scalar_divisor(lo, width):
     # the sieve reads only the module's primes up to sqrt(MAX_N)
     ns = np.arange(lo, lo + width, dtype=np.int64)
-    val, base, part = scan._lppd_arrays(ns, None)
-    _, _, two_part = scan._lppd_arrays(ns, 2)
+    val, base = scan._lppd_arrays(ns)
+    # the base part of each mode: the lppd prime's part, and the part of 2
+    part, two_part = scan._p_part(ns, base), scan._p_part(ns, np.full_like(ns, 2))
     rng = random.Random(lo + width)
     picked = set(range(min(width, 512))) | set(range(max(width - 512, 0), width)) | set(rng.sample(range(width), min(width, 500)))
     for i in sorted(picked):
@@ -600,6 +601,28 @@ def test_resume_rescans_from_a_missing_repeated_or_garbled_row(tmp_path, edit):
     assert _digest(out) == _digest(clean)
     assert summary.counts == whole.counts
     assert summary.exceptions == whole.exceptions
+
+
+@pytest.mark.parametrize("damage", ["cut", "missing", "header"])
+def test_resume_over_a_cut_missing_or_foreign_csv_writes_the_clean_bytes(tmp_path, damage):
+    # a row cut at or below the checkpoint is scanned again; a missing CSV,
+    # or one under another header, is written afresh
+    clean = tmp_path / "clean.csv"
+    whole = scan_to_csv(9, 600, str(clean))
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "scan.ckpt"
+    scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
+    assert checkpoint_last(ckpt) == 600
+    body = out.read_text(encoding="ascii")
+    if damage == "cut":
+        out.write_text(body[: body.index("\n300,") + len("\n300,s")], encoding="ascii")
+    elif damage == "missing":
+        out.unlink()
+    else:
+        out.write_text(body.replace(CSV_HEADER, "n,stage,p,r", 1), encoding="ascii")
+    summary = scan_to_csv(9, 600, str(out), checkpoint_path=str(ckpt))
+    assert _digest(out) == _digest(clean)
+    assert summary.counts == whole.counts
 
 
 def test_resume_after_completion_is_a_no_op(tmp_path):
