@@ -86,6 +86,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite below 41**2 has a prime factor up to 37
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

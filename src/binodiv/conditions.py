@@ -133,8 +133,9 @@ def obstructions(n: int, p: int) -> ObstructionSet:
 def condition1_holds(n: int, p: int, r: int) -> bool:
     """Whether p or r divides every C(n, k) with 0 < k < n.
 
-    Tests the members of one carry-free set for a carry in the other base;
-    if both sets are enormous, leapfrogs between them (_condition1_many).
+    Tests the least member of each carry-free set in the other base, then
+    the members of one set; if both sets are enormous, leapfrogs between
+    them (_condition1_many).
     """
     _check_n_prime(n, p)
     _check_prime(r)
@@ -147,11 +148,18 @@ def _condition1(n: int, p: int, r: int) -> bool:
     never one above OBSTRUCTION_CAP while the other is within it.  Either
     set gives the same verdict.  A prime above n, which may not fit the
     int64 kernels, is decided first: every k is carry-free in its base, so
-    the pair holds exactly when the other set is empty."""
+    the pair holds exactly when the other set is empty.  Next the least
+    member of each set is tested in the other base; most failing pairs stop."""
     dp, dr = digits(n, p), digits(n, r)
     cp, cr = (math.prod(d + 1 for d in ds) - 2 for ds in (dp, dr))
     if max(p, r) > n:
         return min(cp, cr) == 0
+    # q**v_q(n) is the least carry-free k of base q (Kummer): one carry-free
+    # in the other base too leaves C(n, k) prime to both
+    for q, b, dq, db in ((p, r, dp, dr), (r, p, dr, dp)):
+        k = q ** next(i for i, d in enumerate(dq) if d)
+        if k < n and all(d <= e for d, e in zip(digits(k, b), db)):
+            return False
     if min(cp, cr) > OBSTRUCTION_CAP:
         return bool(_condition1_many(*(np.array([v], dtype=np.int64) for v in (n, p, r)))[0])
     sp, sr = (1 if q == 2 else len(ds) for q, ds in ((p, dp), (r, dr)))

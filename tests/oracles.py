@@ -3,7 +3,8 @@
 Direct, slower routes to quantities the package decides another way:
 exact equipartition indices, group orders by breadth-first closure, Dickman
 rho from 100-digit Taylor panels tabulated on a mesh, the prime-order window
-pair, and the largest prime power below n by a downward scan.
+pair, the largest prime power below n by a downward scan, and whether a
+pair fails at the least k that leaves a binomial prime to one of its primes.
 """
 
 from __future__ import annotations
@@ -178,3 +179,16 @@ def largest_prime_power_below_by_scan(n: int) -> PrimePower:
     if n < 3:
         raise ValueError("need n >= 3")
     return next(pp for m in range(n - 1, 1, -1) if (pp := is_prime_power(m)) is not None)
+
+
+def fails_at_a_least_member(n: int, p: int, r: int) -> bool:
+    """Whether C(n, q**v_q(n)), with 0 < q**v_q(n) < n, is prime to both
+    primes for q = p or q = r, by the big binomial itself."""
+    for q, other in ((p, r), (r, p)):
+        k = 1
+        while n % (k * q) == 0:
+            k *= q
+        c = math.comb(n, k)
+        if k < n and c % q and c % other:
+            return True
+    return False

@@ -19,6 +19,7 @@ from binodiv.conditions import (
 )
 from binodiv.conditions import _imprimitive_covered
 from binodiv.scan import sieve_pair_for
+from oracles import fails_at_a_least_member
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -105,28 +106,73 @@ def test_condition1_specific():
         condition1_holds(10, 6, 3)
 
 
-def _spy_fallback(monkeypatch):
-    calls = []
-    leapfrog = conditions._condition1_many
+def _spy_routes(monkeypatch):
+    """Lists that record each set enumeration and each kernel call."""
+    sets, kernel = [], []
+    enumerate_set, leapfrog = conditions._dominated_values, conditions._condition1_many
 
-    def spy(ns, ps, rs):
-        calls.append(int(ns[0]))
+    def set_spy(n, q):
+        sets.append((n, q))
+        return enumerate_set(n, q)
+
+    def kernel_spy(ns, ps, rs):
+        kernel.append(int(ns[0]))
         return leapfrog(ns, ps, rs)
 
-    monkeypatch.setattr(conditions, "_condition1_many", spy)
+    monkeypatch.setattr(conditions, "_dominated_values", set_spy)
+    monkeypatch.setattr(conditions, "_condition1_many", kernel_spy)
+    return sets, kernel
+
+
+@pytest.mark.parametrize("triple", [(15, 2, 7), (12, 2, 7), (14, 5, 7), (2**62, 3, 5)])
+def test_condition1_fails_at_a_least_member_with_no_set(monkeypatch, triple):
+    # k = 1, 4 = 2**v_2(12), 7 = 7**v_7(14) and 1 are carry-free in both bases
+    sets, kernel = _spy_routes(monkeypatch)
+    assert not condition1_holds(*triple)
+    assert sets == kernel == []
+
+
+def test_condition1_past_the_least_members(monkeypatch):
+    sets, kernel = _spy_routes(monkeypatch)
+    # k = 2 carries in base 3 and k = 1 in base 2, so (22, 2, 3) fails only at a later member
+    assert not condition1_holds(22, 2, 3)
+    assert len(sets) == 1
+    # the least base-2 "member" of 16 is 16 itself, not in (0, 16)
+    assert condition1_holds(16, 2, 3)
+    assert condition1_holds(46800, 2, 149)
+    assert len(sets) == 3 and kernel == []
+
+
+def test_condition1_matches_binomials_below_600():
+    ps = [int(q) for q in primes_upto(23)]
+    for n in range(1, 600):
+        row = [math.comb(n, k) for k in range(1, n)]
+        # bit k - 1 marks a C(n, k) prime to q
+        prime_to = {q: sum(1 << i for i, c in enumerate(row) if c % q) for q in ps}
+        for p, r in itertools.product(ps, repeat=2):
+            assert condition1_holds(n, p, r) == (prime_to[p] & prime_to[r] == 0), (n, p, r)
+
+
+def _spy_fallback(monkeypatch):
     monkeypatch.setattr(conditions, "OBSTRUCTION_CAP", 2)
-    return calls
+    return _spy_routes(monkeypatch)[1]
 
 
 def test_condition1_fallback_scan_matches_brute(monkeypatch):
-    # with the cap at 2, almost every (n, p, r) takes the leapfrog kernel
-    calls = _spy_fallback(monkeypatch)
+    triples, want, kernel = [], [], 0
     for n in range(9, 400):
         row = [math.comb(n, k) for k in range(1, n)]
         for p, r in itertools.permutations(SMALL_PRIMES, 2):
-            brute = all(c % p == 0 or c % r == 0 for c in row)
-            assert condition1_holds(n, p, r) == brute, (n, p, r)
-    assert len(calls) > 10_000
+            triples.append((n, p, r))
+            want.append(all(c % p == 0 or c % r == 0 for c in row))
+            # with the cap at 2, the kernel takes every triple whose least
+            # members carry and whose sets both have more than 2 members
+            big = all(sum(c % q != 0 for c in row) > 2 for q in (p, r))
+            kernel += big and not fails_at_a_least_member(n, p, r)
+    assert conditions._condition1_many(*(np.array(col, dtype=np.int64) for col in zip(*triples))).tolist() == want
+    calls = _spy_fallback(monkeypatch)
+    assert [condition1_holds(*t) for t in triples] == want
+    assert len(calls) == kernel
 
 
 def test_condition1_fallback_matches_enumeration_above_2_20(monkeypatch):
@@ -135,9 +181,13 @@ def test_condition1_fallback_matches_enumeration_above_2_20(monkeypatch):
     pairs = [(2, 3), (2, 5), (2, 7), (3, 5)]
     expect = [condition1_holds(n, p, r) for n in ns for p, r in pairs]
     assert True in expect and False in expect
+    triples = [(n, p, r) for n in ns for p, r in pairs]
+    assert conditions._condition1_many(*(np.array(col, dtype=np.int64) for col in zip(*triples))).tolist() == expect
     calls = _spy_fallback(monkeypatch)
-    assert [condition1_holds(n, p, r) for n in ns for p, r in pairs] == expect
-    assert len(calls) > len(expect) // 2
+    assert [condition1_holds(*t) for t in triples] == expect
+    # the kernel takes each triple whose least members carry and whose sets both have more than 2 members
+    big = [min(obstructions(n, q).count for q in (p, r)) > 2 for n, p, r in triples]
+    assert len(calls) == sum(b and not fails_at_a_least_member(*t) for b, t in zip(big, triples)) > 0
 
 
 def test_condition1_fallback_agrees_near_the_int64_limit():

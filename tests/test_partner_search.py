@@ -27,6 +27,7 @@ from binodiv.conditions import (
 )
 from binodiv.kummer import valuation_binomial
 from binodiv.scan import ScanRecord, direct_search, iter_scan, scan_one, scan_range
+from oracles import fails_at_a_least_member
 
 
 def least_partner(n, p):
@@ -192,11 +193,12 @@ def _binomials_covered(n, p, r):
 
 # pairs with 2: (870, 2, 11) and (1263, 2, 23) have both sets above 40
 # members; (665, 7, 2) and (525, 7, 2) enumerate their larger set, one above
-# 40; the cost of (53, 2, 3) alone would pick its base-3 set, also above 40;
-# the set of (107, 107, 2) is empty
+# 40; the cost of (202, 2, 3) alone would pick its base-3 set, also above
+# 40; the set of (107, 107, 2) is empty; (53, 2, 3), (481, 2, 199) and
+# (1263, 2, 23) fail at k = 1, with no set
 _TWO_ANCHORS = [
     (665, 7, 2), (525, 7, 2), (1263, 2, 23), (870, 2, 11), (481, 2, 199),
-    (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2), (53, 2, 3),
+    (890, 89, 2), (1344, 17, 2), (36, 2, 3), (107, 107, 2), (6, 227, 2), (53, 2, 3), (202, 2, 3),
 ]
 _BELOW_1600 = [int(q) for q in primes_upto(1600)]
 
@@ -226,9 +228,11 @@ def test_condition1_with_two_matches_binomials(triples, cut, cap):
         assert _condition1_many(ns, ps, rs).tolist() == want
         runs = [_enumerating(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)]
     assert [holds for holds, _ in runs] == want
-    # one set a triple unless both are above the cap or a prime is above n
-    # (which decides it with no set), and never one above the cap
-    assert [len(sizes) for _, sizes in runs] == ((np.minimum(cp, cr) <= cap) & (np.maximum(ps, rs) <= ns)).tolist()
+    # one set a triple unless both are above the cap, or a prime is above n
+    # or a least member is carry-free in both bases (either decides it with
+    # no set), and never one above the cap
+    least = np.array([fails_at_a_least_member(int(n), int(p), int(r)) for n, p, r in zip(ns, ps, rs)])
+    assert [len(sizes) for _, sizes in runs] == ((np.minimum(cp, cr) <= cap) & (np.maximum(ps, rs) <= ns) & ~least).tolist()
     assert all(size <= cap for _, sizes in runs for size in sizes)
     if cap == conditions.OBSTRUCTION_CAP:
         # the cost rule, not the size, picks the set
