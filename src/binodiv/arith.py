@@ -236,15 +236,31 @@ def _iroot(n: int, k: int) -> int:
 
 
 def is_prime_power(n: int) -> PrimePower | None:
-    """PrimePower for n = p**e (e >= 1), else None."""
+    """PrimePower for n = p**e (e >= 1), else None; exact below psi_12.
+
+    Larger n raise ValueError, as in is_prime.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MR_BOUND}, got {n}")
     if n < 2:
         return None
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            m, e = n, 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            return PrimePower(q, e, n) if m == 1 else None
     if is_prime(n):
         return PrimePower(n, 1, n)
-    for e in range(2, n.bit_length()):
+    # every prime factor now exceeds 37, and 41**17 > psi_12
+    for e in (2, 3, 5, 7, 11, 13):
+        if 41**e > n:
+            break
         r = _iroot(n, e)
-        if r**e == n and is_prime(r):
-            return PrimePower(r, e, n)
+        if r**e == n:
+            root = is_prime_power(r)
+            return None if root is None else PrimePower(root.prime, root.exponent * e, n)
     return None
 
 

@@ -289,8 +289,16 @@ def _least_digits(x: np.ndarray, base: np.ndarray, place: np.ndarray, digs: np.n
 def primitive_index_divisible(n: int, p: int) -> bool:
     """Whether p divides the index of every primitive proper subgroup of A_n.
 
-    For n >= 9 this holds exactly when p <= n - 3 (the order of a primitive
-    proper subgroup is never divisible by such a prime).
+    For n >= 9 the answer is p <= n - 3.  A subgroup's index is prime to p
+    exactly when it holds a Sylow p-subgroup of A_n, and a primitive one
+    that does is all of A_n.  For odd p <= n - 3, the Sylow subgroup holds
+    a p-cycle, and a primitive group with a p-cycle contains A_n (Jordan's
+    theorem).  For p = 2, it holds a double transposition, and a primitive
+    group of degree n >= 9 with a double transposition contains A_n
+    (Jordan's theorem on double transpositions: a primitive group of
+    minimal degree 4 has degree at most 8).  The order of such
+    a subgroup may still be divisible by p: PGammaL(2, 8) < A_9 is
+    primitive of order 1,512 = 2^3 * 3^3 * 7 and index 120.
     """
     if n < 9:
         raise ValueError("primitive_index_divisible requires n >= 9")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, inf, lcm
+from math import factorial, gcd, inf, lcm
 
 from .arith import is_prime, is_prime_power
 
@@ -356,9 +356,11 @@ def check_condition4_pair(
 ) -> bool:
     """Whether every (c, d) in class C x class D generates A_n.
 
-    Fixes the first member c of C and sweeps all of D: any pair is
-    simultaneously conjugate to one (c, d), since C is a single class.
-    class_members refuses a type of another degree, or an odd one.
+    Fixes the first member c of C, since any pair is simultaneously
+    conjugate to one (c, d), and tests one d per orbit of D under
+    conjugation by the normalizer of <c> in S_n; it stops at the first d
+    that fails.  class_members refuses a type of another degree, or an
+    odd one.
     """
     if not 5 <= n <= 8:
         raise ValueError("pair checks cover 5 <= n <= 8")
@@ -370,7 +372,62 @@ def check_condition4_pair(
             raise ValueError(f"element order {order} is not a prime power")
     target = factorial(n) // 2
     c = next(class_members(n, ctC, splitC))
-    return all(_reaches_order([c, d], target) for d in class_members(n, ctD, splitD))
+    # Conjugation by g in the normalizer of <c> is an automorphism of A_n
+    # that maps <c, d> to <c^g, d^g> = <c, d^g>, so d and d^g generate A_n
+    # with c or both fail.  An odd g carries d into the other A_n-half of a
+    # split D; such images are only stored, never swept, and each stored
+    # image generates with c all the same.
+    seen: set[tuple[int, ...]] = set()
+    maps = None
+    for d in class_members(n, ctD, splitD):
+        if d.images in seen:
+            continue
+        if not _reaches_order([c, d], target):
+            return False
+        if maps is None:  # most failing pairs fail at their first d
+            maps = [(g.images, g.inverse().images) for g in _normalizer_generators(c)]
+        seen.add(d.images)
+        orbit = [d.images]
+        for x in orbit:  # grows as it is read: breadth-first
+            for g, g_inv in maps:
+                y = tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+    return True
+
+
+def _normalizer_generators(c: Permutation) -> list[Permutation]:
+    """Generators of the normalizer of <c> in S_n.
+
+    The centralizer is the product of Z_l wr S_m over the cycle lengths l
+    of c (m cycles each) and S_f on its f fixed points: each cycle alone,
+    the point-by-point swaps of consecutive equal-length cycles, and a
+    transposition and a full cycle of the fixed points generate it.  The
+    power map x_i -> x_(i*j mod l) on every cycle (x_0 ... x_(l-1))
+    conjugates c to c^j; over the units j mod ord(c) these give the rest.
+    """
+    n = c.degree
+    cycs = sorted(c.cycles(), key=len)
+
+    def perm(pairs) -> Permutation:
+        img = list(range(n))
+        for a, b in pairs:
+            img[a] = b
+        return Permutation(tuple(img))
+
+    gens = [perm(zip(cyc, cyc[1:] + cyc[:1])) for cyc in cycs]
+    gens += [perm([*zip(a, b), *zip(b, a)]) for a, b in zip(cycs, cycs[1:]) if len(a) == len(b)]
+    fixed = [p for p in range(n) if c.images[p] == p]
+    if len(fixed) >= 2:
+        gens += [perm([(fixed[0], fixed[1]), (fixed[1], fixed[0])]), perm(zip(fixed, fixed[1:] + fixed[:1]))]
+    order = c.cycle_type().element_order()
+    gens += [
+        perm((x, cyc[i * j % len(cyc)]) for cyc in cycs for i, x in enumerate(cyc))
+        for j in range(2, order)
+        if gcd(j, order) == 1
+    ]
+    return gens
 
 
 def _prime_order_classes(n: int) -> list[tuple[CycleType, int | None]]:

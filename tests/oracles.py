@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 Direct, slower routes to quantities the package decides another way:
-exact equipartition indices, group orders by breadth-first closure, Dickman
+exact equipartition indices, group orders by breadth-first closure, class
+pair generation by a generation test on every member, Dickman
 rho from 100-digit Taylor panels tabulated on a mesh, the prime-order window
 pair, the largest prime power below n by a downward scan, and whether a
 pair fails at the least k that leaves a binomial prime to one of its primes.
@@ -19,7 +20,7 @@ import numpy as np
 from binodiv.arith import PrimePower, factorize, is_prime, is_prime_power
 from binodiv.density import U_MAX
 from binodiv.kummer import _check_block
-from binodiv.permgroup import Permutation
+from binodiv.permgroup import CycleType, Permutation, _reaches_order, class_members
 from binodiv.scan import _check_scan_n
 
 _EQUIPARTITION_N_CAP = 10**3
@@ -82,6 +83,14 @@ def naive_closure_order(generators: list[Permutation]) -> int:
                         raise ValueError("closure exceeds cap")
         frontier = nxt
     return len(elems)
+
+
+def condition4_pair_by_full_sweep(n: int, ctC: CycleType, ctD: CycleType, splitC: int = 0, splitD: int = 0) -> bool:
+    """Whether the first member c of C's half generates A_n with every member
+    of D's half, one bounded generation test per member."""
+    target = math.factorial(n) // 2
+    c = next(class_members(n, ctC, splitC))
+    return all(_reaches_order([c, d], target) for d in class_members(n, ctD, splitD))
 
 
 @lru_cache(maxsize=1)

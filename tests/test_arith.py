@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -203,6 +204,24 @@ def test_is_prime_power_large():
     assert is_prime_power(3**37) == PrimePower(3, 37, 3**37)
     assert is_prime_power(2**61 - 1) == PrimePower(2**61 - 1, 1, 2**61 - 1)
     assert is_prime_power(2**62 - 1) is None
+
+
+def test_is_prime_power_without_a_factor_up_to_37():
+    # every prime factor above 37: the roots of prime exponent decide
+    qs = (41, 43, 1009, 2**31 - 1)
+    powers = [PrimePower.of(q, e) for q in qs for e in range(1, 80) if q**e < PSI_12]
+    assert PrimePower.of(41, 13) in powers
+    for pp in powers:
+        assert is_prime_power(pp.value) == pp, pp
+    for a, b in itertools.combinations(powers, 2):
+        if a.prime != b.prime and a.value * b.value < PSI_12:
+            assert is_prime_power(a.value * b.value) is None, (a, b)
+
+
+def test_is_prime_power_refuses_what_is_prime_refuses():
+    for n in (2**80, 2**80 + 1, PSI_12):
+        with pytest.raises(ValueError, match="is_prime is exact only below"):
+            is_prime_power(n)
 
 
 def test_largest_prime_power_divisor_dense():

@@ -18,6 +18,7 @@ from binodiv.conditions import (
     witness_for,
 )
 from binodiv.conditions import _imprimitive_covered
+from binodiv.permgroup import Permutation, group_order
 from binodiv.scan import sieve_pair_for
 from oracles import fails_at_a_least_member
 
@@ -309,6 +310,43 @@ def test_primitive_index_divisible():
         primitive_index_divisible(8, 3)
     with pytest.raises(ValueError):
         primitive_index_divisible(12, 9)
+
+
+def test_primitive_index_divisible_on_pgammal_2_8():
+    # PGammaL(2, 8) < A_9 is primitive of order 1,512 = 2^3 3^3 7, so the
+    # rule is about its index, 120, not its order.  GF(8) = GF(2)[a] with
+    # a^3 = a + 1, elements as bit masks 0..7, and infinity as point 8.
+    def times_a(x):
+        x <<= 1
+        return x ^ 0b1011 if x & 0b1000 else x
+
+    def mul(x, y):
+        out = 0
+        while y:
+            if y & 1:
+                out ^= x
+            x, y = times_a(x), y >> 1
+        return out
+
+    def inverse(x):
+        if x in (0, 8):
+            return 8 - x
+        return next(y for y in range(1, 8) if mul(x, y) == 1)
+
+    def fixing_infinity(f):
+        return lambda x: 8 if x == 8 else f(x)
+
+    maps = (
+        fixing_infinity(lambda x: x ^ 1),  # x -> x + 1
+        fixing_infinity(times_a),  # x -> a x
+        inverse,  # x -> 1/x
+        fixing_infinity(lambda x: mul(x, x)),  # x -> x^2
+    )
+    gens = [Permutation(tuple(map(f, range(9)))) for f in maps]
+    assert all(g.is_even() for g in gens)
+    assert group_order(gens) == 1512
+    for p in (2, 3, 5, 7):
+        assert primitive_index_divisible(9, p) == (120 % p == 0), p
 
 
 def test_witness_for_routes():

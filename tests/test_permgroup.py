@@ -1,10 +1,13 @@
 import itertools
+import operator
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from binodiv import permgroup
+from binodiv.arith import is_prime_power
+from binodiv.cli import _TABLE_ROWS
 from binodiv.permgroup import (
     CycleType,
     Permutation,
@@ -18,7 +21,7 @@ from binodiv.permgroup import (
     group_order,
     parse_cycles,
 )
-from oracles import naive_closure_order
+from oracles import condition4_pair_by_full_sweep, naive_closure_order
 
 A5 = [parse_cycles("(1 2 3)", 5), parse_cycles("(1 2 3 4 5)", 5)]
 
@@ -345,6 +348,59 @@ def test_condition4_validation():
             check_condition4_pair(5, five, five, splitC=half)
         with pytest.raises(ValueError, match="half must be 0 or 1"):
             check_condition4_pair(5, five, five, splitD=half)
+
+
+def _prime_power_classes(n):
+    """Even classes of prime-power element order, as (type, half) pairs."""
+    for parts in _partitions(n):
+        ct = CycleType(n, parts)
+        if ct.is_even() and is_prime_power(ct.element_order()):
+            yield from ((ct, half) for half in ((0, 1) if ct.splits() else (0,)))
+
+
+def test_condition4_pair_matches_the_full_sweep():
+    cases = [(n, a, b) for n in range(5, 9) for a, b in itertools.product(list(_prime_power_classes(n)), repeat=2)]
+    assert len(cases) == 182
+    verdicts = set()
+    for n, (ctC, hC), (ctD, hD) in cases:
+        got = check_condition4_pair(n, ctC, ctD, hC, hD)
+        assert got == condition4_pair_by_full_sweep(n, ctC, ctD, hC, hD), (n, ctC, hC, ctD, hD)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_condition4_pair_tests_one_member_per_normalizer_orbit(monkeypatch):
+    calls = []
+
+    def spy(gens, target):
+        calls.append(gens)
+        return _reaches_order(gens, target)
+
+    monkeypatch.setattr(permgroup, "_reaches_order", spy)
+    counts = []
+    for n, c, d in _TABLE_ROWS:
+        calls.clear()
+        assert check_condition4_pair(n, parse_cycles(c, n).cycle_type(), parse_cycles(d, n).cycle_type())
+        counts.append(len(calls))
+    # one test per member of D's half would make 12 / 72 / 360 / 1,344
+    assert counts == [2, 9, 18, 21]
+
+
+def test_normalizer_generators():
+    # N(<c>) in S_n has order |C(c)| * phi(ord c), as every power c^j with
+    # j a unit has c's cycle type
+    for n in range(3, 10):
+        for parts in _partitions(n):
+            ct = CycleType(n, parts)
+            if not ct.is_even():
+                continue
+            order = ct.element_order()
+            phi = sum(gcd(j, order) == 1 for j in range(order))
+            for c in (ct.representative(), next(class_members(n, ct, 0)), next(class_members(n, ct, 1))):
+                gens = permgroup._normalizer_generators(c)
+                powers = set(itertools.accumulate([c] * order, operator.mul))
+                assert all(g.inverse() * c * g in powers for g in gens), (ct, c)
+                assert group_order(gens) == factorial(n) // ct.class_size() * phi, (ct, c)
 
 
 def test_condition5_verdicts():
