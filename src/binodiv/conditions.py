@@ -287,11 +287,15 @@ def _least_digits(x: np.ndarray, base: np.ndarray, place: np.ndarray, digs: np.n
 
 
 def primitive_index_divisible(n: int, p: int) -> bool:
-    """Whether p divides the index of every primitive proper subgroup of A_n.
+    """Whether p <= n - 3, for n >= 9: a sufficient condition for p to
+    divide the index of every primitive proper subgroup of A_n, but not a
+    necessary one.  The primitive proper subgroups of A_13 have orders
+    dividing 78 (13:6) or 5,616 (PSL(3, 3)), so 11 divides every one of
+    their indices, yet (13, 11) gives False.
 
-    For n >= 9 the answer is p <= n - 3.  A subgroup's index is prime to p
-    exactly when it holds a Sylow p-subgroup of A_n, and a primitive one
-    that does is all of A_n.  For odd p <= n - 3, the Sylow subgroup holds
+    Why p <= n - 3 suffices: a subgroup's index is prime to p exactly when
+    it holds a Sylow p-subgroup of A_n, and a primitive one that does is
+    all of A_n.  For odd p <= n - 3, the Sylow subgroup holds
     a p-cycle, and a primitive group with a p-cycle contains A_n (Jordan's
     theorem).  For p = 2, it holds a double transposition, and a primitive
     group of degree n >= 9 with a double transposition contains A_n
@@ -367,12 +371,14 @@ def witness_for(n: int, p: int, r: int) -> ConditionWitness:
     elif pp is not None:
         holds, stage = c1 and _transitive_covered(n, p, r), "direct_search"
     else:
-        holds, stage = c1, "sieve_pair" if _sieve_window_holds(n, p, r) else "direct_search"
+        window = _sieve_window_holds(n, p, r) or _sieve_window_holds(n, r, p)
+        holds, stage = c1, "sieve_pair" if window else "direct_search"
     return ConditionWitness(n, p, r, c1, holds, stage)
 
 
 def _sieve_window_holds(n: int, p: int, r: int) -> bool:
-    """Whether the pair is certified by a prime-power window at this n.
+    """Whether the pair is certified by a prime-power window at this n with
+    p dividing n; witness_for tries both orders.
 
     Looks for p**a exactly dividing n and a power r**b with
     r**b < n < r**b + p**a: a counts the trailing zero base-p digits of n,

@@ -15,6 +15,7 @@ exact, by a largest-prime-factor sieve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,6 +90,8 @@ def psi_count(x: int, y: float) -> PsiCount:
         y = float(y)
     except OverflowError:
         raise ValueError("y outside the float64 range (about 1.8e308 in magnitude)") from None
+    if math.isnan(y):
+        raise ValueError("y is NaN")
     lpf = _largest_prime_factors(x)
     # 1 has no prime factor, so it counts for every y
     count = 1 + int(np.count_nonzero(lpf[2:] <= y))

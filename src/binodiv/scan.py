@@ -77,10 +77,13 @@ _PINNED = {"any": None, "with-two": 2}
 STAGES = ("prime_power", "sieve", "direct", "other_divisor", "fail")
 _PRIME_POWER, _SIEVE, _DIRECT, _OTHER, _FAIL = range(5)
 
-# Partner-search tuning.  The candidates are the prime divisors of C(n, k0),
-# k0 = p**v_p(n); those below _SMALL_BOUND are verified first, the rest
-# only for the pairs still open.  _GROUP pairs (n, p) are searched together.
+# Partner-search tuning.  The candidates are the primes q < n dividing one
+# of the k0 numerator terms of C(n, k0), k0 = p**v_p(n); those below
+# _SMALL_BOUND are verified first, the rest only for the pairs still open.
 _SMALL_BOUND = 1000
+# pairs (n, p) searched together.  On the with-two chunk of the 2**16 n below
+# 10**8 (one core, same CSV bytes) 1,024 took 4.4-5.1 s at a 65 MB peak, and
+# 65,536 4.2-4.7 s at 586 MB: a wider batch saves little for much memory
 _GROUP = 1024
 
 
@@ -289,7 +292,10 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r), the least of which is
-    k0 = p**v_p(n); so the candidates are the prime divisors of C(n, k0).
+    k0 = p**v_p(n); so r divides one of the numerator terms n - k0 + 1,
+    ..., n, and the candidates are the primes q < n that divide one.  The
+    kernel decides each: a q that does not divide C(n, k0), such as p,
+    leaves k0 carry-free in base q as in base p, so Condition (1) fails.
     They come from _term_divisors, or, where the k0 numerator terms would
     make a block longer than a chunk, from _swept over the primes below
     each such n.  A scan never sweeps: its residual n fail window A, so k0
@@ -321,10 +327,11 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
-    """The pairs (i, q), i in rows, with q a prime dividing C(ns[i], ks[i]),
-    ascending in i and then q, by sieving the numerator terms
-    ns[i] - ks[i] + 1, ..., ns[i] as one block each.  After division by the
-    primes up to sqrt(max ns), what is left of a term is 1 or a prime.
+    """The pairs (i, q), i in rows, with q a prime below ns[i] (ns[i] not
+    prime) dividing one of the numerator terms ns[i] - ks[i] + 1, ...,
+    ns[i] of C(ns[i], ks[i]), ascending in i and then q, by sieving the
+    terms as one block each.  After division by the primes up to
+    sqrt(max ns), what is left of a term is 1 or a prime.
     """
     n, k = ns[rows], ks[rows]
     top = int(n.max(initial=0))
@@ -336,39 +343,20 @@ def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
     scale = top + 1
     key = np.sort(np.concatenate((i, term[big])) * scale + np.concatenate((q, rem[big])))
     key = key[np.diff(key, prepend=-1) != 0]
-    return _binomial_divisors(ns, ks, rows[key // scale], key % scale)
+    return rows[key // scale], key % scale
 
 
 def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
     """The pairs (i, q), i in rows, with q a prime of band below ns[i]
-    dividing C(ns[i], ks[i]), ascending in i and then q; one remainder per
-    prime."""
+    dividing one of the numerator terms ns[i] - ks[i] + 1, ..., ns[i] of
+    C(ns[i], ks[i]), ascending in i and then q: q divides one exactly when
+    ns[i] mod q < ks[i], one remainder per prime."""
     owner, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for i in rows.tolist():
         sub = band[: int(np.searchsorted(band, ns[i]))]
         qs.append(sub[ns[i] % sub < ks[i]])
         owner.append(np.full(qs[-1].size, i))
-    return _binomial_divisors(ns, ks, np.concatenate(owner), np.concatenate(qs))
-
-
-def _binomial_divisors(ns: np.ndarray, ks: np.ndarray, owner: np.ndarray, qs: np.ndarray):
-    """The pairs (owner[j], qs[j]) with qs[j] dividing C(n, k), for n =
-    ns[owner[j]] and k = ks[owner[j]]; each qs[j] must divide one of the
-    numerator terms n - k + 1, ..., n.
-
-    Such a q above k divides C(n, k): it divides the product n!/(n - k)!
-    of the terms, and not k!.  A q up to k is decided by Legendre:
-    v_q(C(n, k)) sums n // q**e - k // q**e - (n - k) // q**e over e >= 1.
-    """
-    keep = qs > ks[owner]
-    at = np.flatnonzero(~keep)
-    n, k, q = ns[owner[at]], ks[owner[at]], qs[at]
-    v, power = np.zeros_like(q), q.copy()
-    while (live := power <= n).any():
-        v += n // power - k // power - (n - k) // power
-        power[live] *= q[live]
-    keep[at] = v > 0
-    return owner[keep], qs[keep]
+    return np.concatenate(owner), np.concatenate(qs)
 
 
 def direct_search(n: int, p: int) -> int | None:

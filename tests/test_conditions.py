@@ -19,7 +19,7 @@ from binodiv.conditions import (
 )
 from binodiv.conditions import _imprimitive_covered
 from binodiv.permgroup import Permutation, group_order
-from binodiv.scan import sieve_pair_for
+from binodiv.scan import MODES, iter_scan, sieve_pair_for
 from oracles import fails_at_a_least_member
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -362,6 +362,17 @@ def test_witness_for_routes():
     assert (w.holds, w.stage) == (False, "direct_search")
     w = witness_for(46800, 2, 149)
     assert (w.holds, w.stage) == (True, "direct_search")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_route_does_not_depend_on_argument_order(mode):
+    # 2 || 10 and 3**2 < 10 < 3**2 + 2, whichever of 2 and 3 comes first
+    assert witness_for(10, 2, 3).stage == witness_for(10, 3, 2).stage == "sieve_pair"
+    rows = [rec for rec in iter_scan(9, 20000, mode) if rec.stage == "sieve"]
+    assert len(rows) > 7000
+    for rec in rows:
+        p, r = rec.witness
+        assert witness_for(rec.n, p, r).stage == witness_for(rec.n, r, p).stage == "sieve_pair", rec
 
 
 def test_witness_fields():

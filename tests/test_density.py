@@ -195,6 +195,8 @@ def test_psi_bounds():
     for y in (10**400, -(10**400)):
         with pytest.raises(ValueError, match="outside the float64 range"):
             psi_count(100, y)
+    with pytest.raises(ValueError, match="NaN"):
+        psi_count(100, float("nan"))
 
 
 def test_psi_ratio_tracks_rho():

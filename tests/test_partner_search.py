@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primefactors
 
 from binodiv import conditions, scan
 from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
@@ -390,11 +391,10 @@ def _k0(n, p):
     return k
 
 
-def test_term_divisors_are_the_prime_divisors_of_the_binomial():
+def _term_rows():
+    """(ns, ks, rows): hand-picked rows first, then random n with k0 for a
+    prime divisor or a small prime."""
     rng = random.Random(11)
-    # a prime q <= k dividing a term but not the binomial: 3 for C(80, 16),
-    # 2 for C(12, 4) and C(15, 3), 5 = k for C(30, 5), 5 and 7 for C(24, 8),
-    # 5, 11, 13, 19 and 23 for C(54, 27)
     ns, ks = [80, 98304, 2 * 3**9, 12, 15, 30, 24, 54], [16, 32768, 3**9, 4, 3, 5, 8, 27]
     while len(ns) < 40:
         n = rng.randrange(9, 10**5)
@@ -403,9 +403,31 @@ def test_term_divisors_are_the_prime_divisors_of_the_binomial():
             ns.append(n)
             ks.append(_k0(n, p))
     rows = np.array(sorted(set(rng.sample(range(len(ns)), 30)) | set(range(8))), dtype=np.int64)
-    owner, qs = scan._term_divisors(np.array(ns), np.array(ks), rows)
-    want = [(i, int(q)) for i in rows.tolist() for q in primes_upto(ns[i] - 1) if valuation_binomial(ns[i], ks[i], int(q)) > 0]
-    assert list(zip(owner.tolist(), qs.tolist())) == want
+    return np.array(ns), np.array(ks), rows
+
+
+def test_term_divisors_are_the_primes_dividing_a_numerator_term():
+    ns, ks, rows = _term_rows()
+    owner, qs = scan._term_divisors(ns, ks, rows)
+    got = list(zip(owner.tolist(), qs.tolist()))
+    ns, ks = ns.tolist(), ks.tolist()
+    # factor every term with sympy, which shares no code with the sieve
+    want = [(i, q) for i in rows.tolist() for q in sorted({q for t in range(ns[i] - ks[i] + 1, ns[i] + 1) for q in primefactors(t)}) if q < ns[i]]
+    assert got == want
+    # primes q <= k dividing a term but not the binomial stay candidates (the
+    # kernel rejects them): 3 for C(80, 16), 2 for C(12, 4) and C(15, 3),
+    # 5 = k for C(30, 5), 5 and 7 for C(24, 8), 5, 11, 13, 19 and 23 for C(54, 27)
+    kept = [(0, 3), (3, 2), (4, 2), (5, 5), (6, 5), (6, 7)] + [(7, q) for q in (5, 11, 13, 19, 23)]
+    assert all(valuation_binomial(ns[i], ks[i], q) == 0 for i, q in kept)
+    assert set(kept) <= set(got)
+
+
+def test_swept_matches_term_divisors():
+    ns, ks, rows = _term_rows()
+    assert ks[rows].max() <= scan.CHUNK
+    swept = scan._swept(ns, ks, rows, primes_upto(int(ns.max())))
+    sieved = scan._term_divisors(ns, ks, rows)
+    assert [a.tolist() for a in swept] == [a.tolist() for a in sieved]
 
 
 def test_term_divisors_keep_rows_apart_above_max_n():
