@@ -76,7 +76,7 @@ class ConditionWitness:
     r: int
     condition1: bool
     holds: bool
-    stage: str  # "small_table" | "prime_power_case" | "sieve_pair" | "direct_search"
+    stage: str  # "small_table" (n <= 8) | "sieve_pair" | "direct_search" (prime powers too)
 
 
 def _dominated_values(n: int, p: int) -> np.ndarray:
@@ -291,7 +291,10 @@ def primitive_index_divisible(n: int, p: int) -> bool:
     divide the index of every primitive proper subgroup of A_n, but not a
     necessary one.  The primitive proper subgroups of A_13 have orders
     dividing 78 (13:6) or 5,616 (PSL(3, 3)), so 11 divides every one of
-    their indices, yet (13, 11) gives False.
+    their indices, yet (13, 11) gives False.  condition2_direct reads the
+    rule for min(p, r); it alone decides (n, s) at a prime n, wrongly only
+    for s = n - 2 at twin primes n >= 13 (s >= n - 1 does not divide
+    (n - 2)!, the index of AGL(1, n) & A_n).
 
     Why p <= n - 3 suffices: a subgroup's index is prime to p exactly when
     it holds a Sylow p-subgroup of A_n, and a primitive one that does is
@@ -311,27 +314,25 @@ def primitive_index_divisible(n: int, p: int) -> bool:
 
 
 def condition2_direct(n: int, p: int, r: int) -> bool:
-    """Condition (2) decided family by family, n >= 9.
+    """Condition (2) decided family by family, the same way for every n >= 9.
 
     Intransitive indices are the binomials (Condition (1)); imprimitive
     indices are equipartition counts over nontrivial divisors; primitive
-    indices are covered whenever min(p, r) <= n - 3.  A power of p (or r)
-    is accepted outright: such n always has a certifying class pair built
-    on its base prime, so the family sweep is skipped.
+    indices are covered when min(p, r) passes primitive_index_divisible.
+    A False is wrong only for (n - 2, n) at twin primes n >= 13, such as
+    (13, 11, 13): at a composite n a pair that passes Condition (1) holds
+    a prime divisor of n (k = 1), at most n/2 <= n - 3.
     """
     if n < 9:
         raise ValueError("condition2_direct requires n >= 9")
     _check_n_prime(n, p)
     _check_prime(r)
-    pp = is_prime_power(n)
-    if pp is not None and pp.prime in (p, r):
-        return True
     return _condition1(n, p, r) and _transitive_covered(n, p, r)
 
 
 def _transitive_covered(n: int, p: int, r: int) -> bool:
     """The imprimitive and primitive families of condition2_direct."""
-    return _imprimitive_covered(n, p, r) and (p <= n - 3 or r <= n - 3)
+    return _imprimitive_covered(n, p, r) and primitive_index_divisible(n, min(p, r))
 
 
 def _imprimitive_covered(n: int, p: int, r: int) -> bool:
@@ -349,11 +350,10 @@ def _imprimitive_covered(n: int, p: int, r: int) -> bool:
 def condition2_holds(n: int, p: int, r: int) -> bool:
     """Condition (2) for any n >= 1, by the cheapest valid route.
 
-    n <= 8 uses the hardcoded index table.  Prime powers p**m >= 9 are
-    accepted outright when the base prime is in the pair (a suitable
-    partner prime always exists); otherwise they get the direct check.
-    Everything else reduces to Condition (1), to which Condition (2) is
-    equivalent for non-prime-powers.
+    n <= 8 uses the hardcoded index table, and prime powers n >= 9 the
+    family sweep of condition2_direct.  Every other n reduces to Condition
+    (1), to which Condition (2) is then equivalent (the lemma of
+    _condition1_many).
     """
     return witness_for(n, p, r).holds
 
@@ -366,9 +366,7 @@ def witness_for(n: int, p: int, r: int) -> ConditionWitness:
     c1 = _condition1(n, p, r)
     if n <= 8:
         holds, stage = all(i % p == 0 or i % r == 0 for i in SMALL_INDEX_TABLE[n]), "small_table"
-    elif (pp := is_prime_power(n)) is not None and pp.prime in (p, r):
-        holds, stage = True, "prime_power_case"
-    elif pp is not None:
+    elif is_prime_power(n) is not None:
         holds, stage = c1 and _transitive_covered(n, p, r), "direct_search"
     else:
         window = _sieve_window_holds(n, p, r) or _sieve_window_holds(n, r, p)

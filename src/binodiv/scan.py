@@ -3,11 +3,11 @@
 Classifies every n in a range by the cheapest argument that produces a
 prime pair (p, r) dividing all proper subgroup indices of A_n:
 
-  prime_power    n itself is a prime power; a covering pair always exists
+  prime_power    n = q**e, with (q, 2), or (2, its least partner) if q = 2
   sieve          window test: p**a | n and some prime power r**b satisfies
                  r**b < n < r**b + p**a
-  direct         search found a partner r for the base of the largest
-                 prime-power divisor of n
+  direct         a partner r for the base of the largest prime-power divisor
+                 of n, found by search (2 for an odd prime power if 2 is pinned)
   other_divisor  search found a partner for some other prime divisor of n
   fail           no covering pair exists within the mode's search space
 
@@ -362,10 +362,10 @@ def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
 def direct_search(n: int, p: int) -> int | None:
     """Smallest prime r < n such that condition2_direct(n, p, r) holds.
 
-    The one-pair call of the batched partner search.  For a prime power
-    n = q**e the pair is accepted outright when q = p (returning 2), and
-    otherwise k = 1 forces r | n, so q is the only possible partner.  Any
-    other n has no partner for a p above n.
+    An n that is not a prime power takes the batched partner search, and
+    has no partner for a p above n.  At n = q**e, k = 1 forces r = q if
+    p != q; for p = q the primes are tried from 2 up, and they reach one in
+    (n/2, n) (Bertrand), which divides every imprimitive index.
     """
     _check_scan_n(n)
     _check_max_n(n)
@@ -373,11 +373,8 @@ def direct_search(n: int, p: int) -> int | None:
         raise ValueError(f"p must be prime, got {p}")
     pp = is_prime_power(n)
     if pp is not None:
-        if pp.prime == p:
-            return 2
-        if pp.prime < n and condition2_direct(n, p, pp.prime):
-            return pp.prime
-        return None
+        rs = (r for r in range(2, n) if is_prime(r)) if pp.prime == p else (pp.prime,)
+        return next((r for r in rs if r < n and condition2_direct(n, p, r)), None)
     if p > n:
         # every k is carry-free in base p, and no one prime divides every C(n, k)
         return None
@@ -485,9 +482,11 @@ def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
     pa = np.zeros(ns.size, dtype=np.int64)
     rb = np.zeros(ns.size, dtype=np.int64)
 
-    # n = q**e pairs q with the base prime (q itself unless another is pinned)
+    # n = q**e records (q, 2), or (2, its least partner) if q = 2 (README)
     stage[pp_mask] = np.where(lppd_p[pp_mask] == base[pp_mask], _PRIME_POWER, _DIRECT)
-    wp[pp_mask], wr[pp_mask] = lppd_p[pp_mask], base[pp_mask]
+    wp[pp_mask], wr[pp_mask] = lppd_p[pp_mask], 2
+    for i in np.flatnonzero(pp_mask & (lppd_p == 2)).tolist():
+        wr[i] = direct_search(int(ns[i]), 2)
     # window A: the base prime's part of n and the largest prime power
     # below n; window B: the lppd and the largest power of the base prime
     # below n
@@ -538,11 +537,13 @@ atexit.register(_close_pool)
 
 
 def _worker_pool(workers: int) -> futures.ProcessPoolExecutor:
-    """The kept pool of this many workers, replacing one of another count."""
+    """The kept pool of this many workers, replacing one of another count;
+    they fork, though Python 3.14 makes forkserver the default."""
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _close_pool()
-        _pool = (os.getpid(), workers, futures.ProcessPoolExecutor(max_workers=workers))
+        import multiprocessing  # here, as in futures: a process that makes no pool never loads it
+        _pool = (os.getpid(), workers, futures.ProcessPoolExecutor(workers, multiprocessing.get_context("fork")))
     return _pool[2]
 
 
@@ -564,7 +565,7 @@ def _run_chunks(
     """
     _check_scan(lo, hi, mode, workers)
     bounds = _chunk_bounds(lo, hi)
-    # a fork-started pool forks all of its workers at the first submit
+    # the pool forks all of its workers at the first submit
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
     if workers == 1 or len(bounds) <= 1:

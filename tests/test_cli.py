@@ -75,8 +75,8 @@ def test_check_decides_each_condition_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, route",
     [
-        # n = 5**2 with 5 in the pair: accepted without the index families
-        (["25", "5", "2"], "prime_power_case"),
+        # n = 5**2: the index families decide it, as at every prime power
+        (["25", "5", "2"], "direct_search"),
         # 5 | 10 and 3**2 < 10 < 3**2 + 5
         (["10", "5", "3"], "sieve_pair"),
     ],
@@ -123,9 +123,9 @@ def test_scan_csv_listing(capsys):
     assert code == 0
     assert lines == [
         "n,stage,p,r,pa,rb",
-        "9,prime_power,3,3,,",
+        "9,prime_power,3,2,,",
         "10,sieve,5,3,5,9",
-        "11,prime_power,11,11,,",
+        "11,prime_power,11,2,,",
         "12,sieve,2,11,4,11",
     ]
 

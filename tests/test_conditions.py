@@ -20,7 +20,7 @@ from binodiv.conditions import (
 from binodiv.conditions import _imprimitive_covered
 from binodiv.permgroup import Permutation, group_order
 from binodiv.scan import MODES, iter_scan, sieve_pair_for
-from oracles import fails_at_a_least_member
+from oracles import equipartition_count, fails_at_a_least_member
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -240,13 +240,43 @@ def test_condition2_direct_requires_nine():
 
 
 def test_condition2_direct_prime_power_escape():
-    # the family sweep is genuinely wrong for prime powers: the d = 8
-    # blocks of n = 16 give index 6435, coprime to both 2 and 7
+    # no pair escapes the family sweep at a prime power: the d = 8 blocks
+    # of n = 16 give index 6435, coprime to both 2 and 7
     assert not _imprimitive_covered(16, 2, 7)
-    assert condition2_direct(16, 2, 7)
-    assert condition2_direct(16, 2, 2)
-    # base prime not in the pair: no escape, and k = 1 already fails
+    assert not condition2_direct(16, 2, 7)
+    # every block size of 16 is a power of 2, so 2 alone divides none
+    assert not condition2_direct(16, 2, 2)
+    assert condition2_direct(16, 2, 3)
+    # base prime not in the pair: k = 1 already fails
     assert not condition2_direct(16, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "n, d, p, r, index, residues",
+    [(16, 8, 2, 7, 6435, (1, 2)), (25, 5, 5, 29, 5_194_672_859_376, (1, 9))],
+)
+def test_a_prime_power_pair_is_refused_at_an_imprimitive_index(n, d, p, r, index, residues):
+    # every C(n, k) is divisible by p, yet the stabilizer of n/d blocks of
+    # size d has an index prime to both p and r
+    m = n // d
+    assert equipartition_count(n, d).value == index == math.factorial(n) // (math.factorial(d) ** m * math.factorial(m))
+    assert (index % p, index % r) == residues
+    assert condition1_holds(n, p, r)
+    assert not condition2_direct(n, p, r)
+    assert not witness_for(n, p, r).holds
+
+
+def test_a_prime_pair_is_refused_at_the_affine_group():
+    # AGL(1, 13) & A_13 is made by x -> x + 1 and x -> 4x (4 = 2^2, as
+    # x -> 2x is odd); its index 13!/156 is 1 mod 13 and 1 mod 17
+    gens = [Permutation(tuple((x + 1) % 13 for x in range(13))), Permutation(tuple(4 * x % 13 for x in range(13)))]
+    assert all(g.is_even() for g in gens)
+    index = math.factorial(13) // 2 // group_order(gens)
+    assert index == 39_916_800 == math.factorial(13) // 156
+    assert (index % 13, index % 17) == (1, 1)
+    assert condition1_holds(13, 13, 17)
+    assert not condition2_direct(13, 13, 17)
+    assert not witness_for(13, 13, 17).holds
 
 
 def test_condition2_direct_equals_condition1_off_prime_powers():
@@ -353,7 +383,9 @@ def test_witness_for_routes():
     w = witness_for(6, 2, 5)
     assert (w.holds, w.stage) == (True, "small_table")
     w = witness_for(16, 2, 7)
-    assert (w.holds, w.stage) == (True, "prime_power_case")
+    assert (w.holds, w.stage) == (False, "direct_search")
+    w = witness_for(16, 2, 3)
+    assert (w.holds, w.stage) == (True, "direct_search")
     w = witness_for(10, 5, 3)
     assert (w.holds, w.stage) == (True, "sieve_pair")
     w = witness_for(12, 2, 11)
@@ -381,15 +413,15 @@ def test_witness_fields():
 
 
 def test_witness_decides_condition1_on_every_route():
-    # n <= 8 and the prime-power shortcut decide Condition (2) without the
-    # binomials, yet the witness still carries the Condition (1) verdict
+    # n <= 8 decides Condition (2) without the binomials, yet the witness
+    # still carries the Condition (1) verdict
     stages = set()
     for n in range(1, 301):
         for p, r in itertools.product(SMALL_PRIMES, repeat=2):
             w = witness_for(n, p, r)
             assert w.condition1 == condition1_holds(n, p, r), (n, p, r)
             stages.add(w.stage)
-    assert stages == {"small_table", "prime_power_case", "sieve_pair", "direct_search"}
+    assert stages == {"small_table", "sieve_pair", "direct_search"}
 
 
 def test_witness_refuses_n_below_one():

@@ -41,13 +41,14 @@ from binodiv.scan import (
     scan_with_two,
     sieve_pair_for,
 )
-from oracles import condition5_sieve_pair
+from oracles import condition5_sieve_pair, equipartition_count
 from resume import checkpoint_last, last_row_n, stop_at_slice, write_checkpoint
 
 
 def test_scan_one_any_mode():
-    assert scan_one(9) == ScanRecord(9, "prime_power", (3, 3))
-    assert scan_one(16) == ScanRecord(16, "prime_power", (2, 2))
+    assert scan_one(9) == ScanRecord(9, "prime_power", (3, 2))
+    assert scan_one(16) == ScanRecord(16, "prime_power", (2, 3))
+    assert scan_one(10007) == ScanRecord(10007, "prime_power", (10007, 2))
     rec = scan_one(10)
     assert rec.stage == "sieve" and rec.witness == (5, 3)
     assert rec.sieve_pair == (PrimePower(5, 1, 5), PrimePower(3, 2, 9))
@@ -57,7 +58,7 @@ def test_scan_one_any_mode():
 
 
 def test_scan_one_with_two_mode():
-    assert scan_one(16, "with-two") == ScanRecord(16, "prime_power", (2, 2))
+    assert scan_one(16, "with-two") == ScanRecord(16, "prime_power", (2, 3))
     assert scan_one(27, "with-two") == ScanRecord(27, "direct", (3, 2))
     rec = scan_one(10, "with-two")
     assert rec.stage == "sieve" and rec.witness == (2, 3)
@@ -109,8 +110,12 @@ def test_direct_search_exceptional_n():
 
 
 def test_direct_search_prime_powers():
-    assert direct_search(16, 2) == 2
+    # 2 divides no index of blocks of a power of 2, and 3 covers them all
+    # but at 512, where two blocks of 256 add without carry in bases 3 and 5
+    assert direct_search(16, 2) == 3
+    assert direct_search(512, 2) == 7
     assert direct_search(27, 3) == 2
+    assert direct_search(10007, 10007) == 2
     assert direct_search(16, 3) == 2  # partner is the base prime
     with pytest.raises(ValueError):
         direct_search(16, 4)
@@ -129,15 +134,35 @@ def test_direct_search_returns_least_witness():
 
 @pytest.mark.parametrize(
     "n, p, want",
-    [(100, 18446744073709551557, None), (10**6, 18446744073709551557, None), (100, 101, None), (125, 18446744073709551557, 5), (128, 18446744073709551557, 2)],
+    [(100, 18446744073709551557, None), (10**6, 18446744073709551557, None), (100, 101, None), (125, 18446744073709551557, None), (128, 18446744073709551557, None)],
 )
 def test_direct_search_with_a_prime_above_n(n, p, want):
     # the prime beyond int64 used to overflow the batched search; above a
-    # non-prime-power n no partner exists, and n = q**e takes q (2 when q = 2)
+    # non-prime-power n no partner exists; at n = q**e, k = 1 leaves only
+    # r = q, and the index for blocks of 5 of 125 is prime to 5, the one for
+    # blocks of 64 of 128 odd (and every prime factor of either is below n)
+    assert equipartition_count(125, 5).value % 5 and equipartition_count(128, 64).value % 2
     assert direct_search(n, p) == want
     if n < 1000:
         # the least prime r < n that condition2_direct accepts, tried in order
         assert want == next((int(r) for r in primes_upto(n - 1) if condition2_direct(n, p, int(r))), None)
+
+
+@pytest.mark.parametrize("mode", ["any", "with-two"])
+def test_prime_power_rows_record_the_least_partner_of_the_base_prime(mode):
+    hi = 2 * 10**5
+    primes = [int(q) for q in primes_upto(hi)]
+    powers = {q**e: q for q in primes for e in range(1, hi.bit_length()) if 9 <= q**e <= hi}
+    rows = [rec for rec in iter_scan(9, hi, mode) if rec.n in powers]
+    assert len(rows) == len(powers)
+    for rec in rows:
+        n, q = rec.n, powers[rec.n]
+        assert rec.stage == ("prime_power" if mode == "any" or q == 2 else "direct"), rec
+        p, r = rec.witness
+        assert p == q, rec
+        assert condition1_holds(n, p, r) and condition2_direct(n, p, r), rec
+        for s in primes[: primes.index(r)]:
+            assert not condition2_direct(n, p, s), (rec, s)
 
 
 def test_condition5_sieve_pair():
@@ -175,7 +200,8 @@ def test_any_mode_stage_soundness():
         assert rec.stage in ("prime_power", "sieve", "direct")
         if rec.stage == "prime_power":
             pp = is_prime_power(n)
-            assert pp is not None and rec.witness == (pp.prime, pp.prime)
+            assert pp is not None and rec.witness[0] == pp.prime
+            assert condition2_direct(n, *rec.witness)
         elif rec.stage == "sieve":
             assert rec.sieve_pair == sieve_pair_for(n)
             pa, rb = rec.sieve_pair
@@ -195,7 +221,8 @@ def test_with_two_stage_soundness():
             continue
         assert 2 in rec.witness
         if rec.stage == "prime_power":
-            assert rec.witness == (2, 2) and is_prime_power(n).prime == 2
+            assert rec.witness[0] == is_prime_power(n).prime == 2
+            assert condition2_direct(n, *rec.witness)
         elif rec.stage == "sieve":
             pa, rb = rec.sieve_pair
             assert rec.witness == (pa.prime, rb.prime)
@@ -357,7 +384,7 @@ def test_csv_round_trip():
 
 def test_csv_field_layout():
     assert format_record(scan_one(10)) == "10,sieve,5,3,5,9"
-    assert format_record(scan_one(9)) == "9,prime_power,3,3,,"
+    assert format_record(scan_one(9)) == "9,prime_power,3,2,,"
     assert format_record(scan_one(15, "with-two")) == "15,fail,,,,"
     assert format_record(scan_one(10, "with-two")) == "10,sieve,2,3,2,9"
 
@@ -806,8 +833,8 @@ def test_import_refuses_a_max_n_with_more_digits_than_a_csv_field(monkeypatch, d
 @pytest.mark.parametrize(
     "mode, digest",
     [
-        ("any", "50d8741fb3c4f019f8352f6af13ff9f8b07b92c32f438b29c40983adeceafbe1"),
-        ("with-two", "ca282e6ca25442eb8f15354c4ad1802e56431a6187b336584b32be3e2dd239b5"),
+        ("any", "34bd86a9d77168c040940be47d5400fafb0537acdcacd3fb82d234d1b2b94512"),
+        ("with-two", "8a0c3659ddf210ead432c6d03af965322c8b67fef665d785c8ec4f32309e0926"),
     ],
 )
 def test_scan_to_csv_bytes_are_pinned(tmp_path, mode, digest):
@@ -929,8 +956,9 @@ def test_a_worker_count_above_the_cores_makes_one_worker_per_core(monkeypatch):
     class Recorded(ThreadPoolExecutor):
         """Threads in place of worker processes, so that no count forks."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
+            assert mp_context.get_start_method() == "fork"
             super().__init__(max_workers=max_workers)
 
     lo, hi = 9, 2 * CHUNK + 100
@@ -960,6 +988,23 @@ def test_a_worker_count_below_one_is_refused(tmp_path, workers):
         with pytest.raises(ValueError, match=rf"need workers >= 1, got {workers}"):
             call()
     assert not out.exists()
+
+
+def test_the_pool_forks_its_workers_whatever_the_default_start_method():
+    # forkserver is the default from Python 3.14 on; a worker forked by the
+    # calling process is its child
+    code = (
+        "import multiprocessing, os\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "from binodiv import scan\n"
+        "print(scan._worker_pool(2).submit(os.getppid).result(), os.getpid())\n"
+    )
+    src = str(Path(scan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    parent, pid = proc.stdout.split()
+    assert parent == pid
 
 
 def test_a_process_that_scanned_on_the_pool_exits_with_its_workers():
