@@ -405,7 +405,10 @@ def _normalizer_generators(c: Permutation) -> list[Permutation]:
     the point-by-point swaps of consecutive equal-length cycles, and a
     transposition and a full cycle of the fixed points generate it.  The
     power map x_i -> x_(i*j mod l) on every cycle (x_0 ... x_(l-1))
-    conjugates c to c^j; over the units j mod ord(c) these give the rest.
+    conjugates c to c^j; over a generating set of the units j mod ord(c)
+    these give the rest.  A unit joins the set when those taken before it
+    do not generate it, the units of larger multiplicative order first: a
+    cyclic unit group takes one primitive root.
     """
     n = c.degree
     cycs = sorted(c.cycles(), key=len)
@@ -422,11 +425,12 @@ def _normalizer_generators(c: Permutation) -> list[Permutation]:
     if len(fixed) >= 2:
         gens += [perm([(fixed[0], fixed[1]), (fixed[1], fixed[0])]), perm(zip(fixed, fixed[1:] + fixed[:1]))]
     order = c.cycle_type().element_order()
-    gens += [
-        perm((x, cyc[i * j % len(cyc)]) for cyc in cycs for i, x in enumerate(cyc))
-        for j in range(2, order)
-        if gcd(j, order) == 1
-    ]
+    powers = {j: {pow(j, e, order) for e in range(order)} for j in range(2, order) if gcd(j, order) == 1}
+    spanned = {1}
+    for j in sorted(powers, key=lambda j: -len(powers[j])):
+        if j not in spanned:
+            gens.append(perm((x, cyc[i * j % len(cyc)]) for cyc in cycs for i, x in enumerate(cyc)))
+            spanned = {s * t % order for s in spanned for t in powers[j]}
     return gens
 
 

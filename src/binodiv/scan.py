@@ -14,7 +14,10 @@ prime pair (p, r) dividing all proper subgroup indices of A_n:
 Mode "any" admits every prime pair; mode "with-two" only pairs containing
 2, where failures are a real (and counted) outcome.  Bulk staging is
 vectorized over chunks of 2**16 integers; the n of a chunk that resist
-the cheap stages go to one batched partner search.
+the cheap stages go to one batched partner search.  On a worker pool, a
+range of at most one chunk is split into one piece per worker, and the
+process that classifies a piece also makes its CSV rows; the caller
+writes them, checkpoints and reports progress after each piece.
 """
 
 from __future__ import annotations
@@ -399,14 +402,13 @@ def prime_gap_stats(hi: int) -> GapReport:
 
 @dataclass
 class _ChunkResult:
+    """One piece of a scan: its first n, stage counts and exceptional
+    records, and what the scan keeps of its rows (see _classify_chunk)."""
+
     lo: int
     counts: np.ndarray
-    stage: np.ndarray | None
-    wp: np.ndarray | None
-    wr: np.ndarray | None
-    pa: np.ndarray | None
-    rb: np.ndarray | None
     exceptions: list[ScanRecord]
+    rows: tuple[np.ndarray, ...] | list[str] | None
 
 
 def _lppd_arrays(ns: np.ndarray):
@@ -453,9 +455,13 @@ def _classify_residual(ns: np.ndarray, base: np.ndarray, pinned: int | None):
     return stage, wp, wr
 
 
-def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
+def _classify_chunk(a: int, b: int, mode: str, keep: str | None) -> _ChunkResult:
     """One staging pipeline for both modes; mode only decides the pinned
-    prime, which every pair must contain (None: any pair)."""
+    prime, which every pair must contain (None: any pair).
+
+    keep chooses what comes back of the rows: nothing (None), the columns
+    stage, wp, wr, pa and rb ("arrays"), or their CSV slices ("csv"), so
+    that the process that classified [a, b] also formats it."""
     pinned = _PINNED[mode]
     ns = np.arange(a, b + 1, dtype=np.int64)
     lppd_val, lppd_p = _lppd_arrays(ns)
@@ -508,17 +514,27 @@ def _classify_chunk(a: int, b: int, mode: str, keep: bool) -> _ChunkResult:
             exceptions.append(ScanRecord(int(ns[i]), STAGES[code], witness, None))
 
     counts = np.bincount(stage, minlength=len(STAGES)).astype(np.int64)
-    if not keep:
-        return _ChunkResult(a, counts, None, None, None, None, None, exceptions)
-    return _ChunkResult(a, counts, stage, wp, wr, pa, rb, exceptions)
+    rows = None
+    if keep == "arrays":
+        rows = (stage, wp, wr, pa, rb)
+    elif keep == "csv":
+        rows = list(_csv_slices(a, stage, wp, wr, pa, rb))
+    return _ChunkResult(a, counts, exceptions, rows)
 
 
-def _chunk_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
-    return [(a, min(a + CHUNK - 1, hi)) for a in range(lo, hi + 1, CHUNK)]
+def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """The pieces of [lo, hi]: CHUNK n each from lo, or, for a range of at
+    most CHUNK n, min(workers, its length) pieces of near-equal length."""
+    size = hi - lo + 1
+    if size > CHUNK:
+        return [(a, min(a + CHUNK - 1, hi)) for a in range(lo, hi + 1, CHUNK)]
+    k = min(workers, size)
+    cuts = [lo + i * size // k for i in range(k + 1)]
+    return [(a, b - 1) for a, b in zip(cuts, cuts[1:])]
 
 
 # this process's worker pool as (pid, worker count, pool): made by the first
-# multi-chunk call and kept for later ones
+# call of more than one piece on more than one worker, and kept for later ones
 _pool: tuple[int, int, futures.ProcessPoolExecutor] | None = None
 
 
@@ -552,22 +568,25 @@ def _run_chunks(
     hi: int,
     mode: str,
     workers: int | None,
-    keep: bool,
+    keep: str | None,
 ) -> Iterator[_ChunkResult]:
-    """The chunks of [lo, hi] in ascending order.
+    """The pieces of [lo, hi] (see _chunk_bounds) in ascending order, each
+    keeping the rows that keep chooses (see _classify_chunk).
 
-    With more than one chunk and more than one worker they run on the kept
+    With more than one piece and more than one worker they run on the kept
     pool, of at most os.cpu_count() workers (None: that many), at most
-    workers + 2 at a time.  Its workers see module state as of the fork
-    that made them, not names patched since.  A consumer that stops early
-    cancels the chunks not yet started and keeps the pool; a worker's
-    death raises BrokenProcessPool, and the next call forks anew.
+    workers + 2 at a time; so a range of one chunk is split across the
+    workers, and only a one-n range stays in this process.  The workers see
+    module state as of the fork that made them, not names patched since.
+    A consumer that stops early cancels the pieces not yet started and
+    keeps the pool; a worker's death raises BrokenProcessPool, and the
+    next call forks anew.
     """
     _check_scan(lo, hi, mode, workers)
-    bounds = _chunk_bounds(lo, hi)
     # the pool forks all of its workers at the first submit
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
+    bounds = _chunk_bounds(lo, hi, workers)
     if workers == 1 or len(bounds) <= 1:
         for a, b in bounds:
             yield _classify_chunk(a, b, mode, keep)
@@ -601,8 +620,7 @@ def _pp_of(value: int, prime: int) -> PrimePower:
 
 
 def _materialize(chunk: _ChunkResult) -> Iterator[ScanRecord]:
-    cols = (chunk.stage, chunk.wp, chunk.wr, chunk.pa, chunk.rb)
-    for n, (code, p, r, pa, rb) in enumerate(zip(*(col.tolist() for col in cols)), chunk.lo):
+    for n, (code, p, r, pa, rb) in enumerate(zip(*(col.tolist() for col in chunk.rows)), chunk.lo):
         pair = (_pp_of(pa, p), _pp_of(rb, r)) if code == _SIEVE else None
         yield ScanRecord(n, STAGES[code], (p, r) if p else None, pair)
 
@@ -615,7 +633,7 @@ def iter_scan(
     workers: int | None = None,
 ) -> Iterator[ScanRecord]:
     """Records for lo..hi in ascending n, independent of worker count."""
-    for chunk in _run_chunks(lo, hi, mode, workers, keep=True):
+    for chunk in _run_chunks(lo, hi, mode, workers, keep="arrays"):
         yield from _materialize(chunk)
 
 
@@ -633,21 +651,23 @@ def _summarize(
     sink: TextIO | None = None,
     after: Callable[[int], None] | None = None,
 ) -> ScanSummary:
-    """Counts and exceptions of [lo, hi], the one fold over a scan's chunks.
+    """Counts and exceptions of [lo, hi], the one fold over a scan's pieces
+    (see _run_chunks).
 
-    For each chunk in turn: its CSV rows go to sink, when one is given,
-    one write per slice and then a flush; after gets the chunk's last n,
-    so a checkpoint written there covers only rows already flushed; then
-    the chunk is counted, and progress gets the n done and the n in all.
+    After each piece in turn: its CSV rows, made by the process that
+    classified it, go to sink when one is given, one write per slice and
+    then a flush; after gets the piece's last n, so a checkpoint written
+    there covers only rows already flushed; then the piece is counted, and
+    progress gets the n done and the n in all.
     """
     t0 = time.monotonic()
     counts = np.zeros(len(STAGES), dtype=np.int64)
     exceptions: list[ScanRecord] = []
     done = 0
-    for chunk in _run_chunks(lo, hi, mode, workers, keep=sink is not None):
+    for chunk in _run_chunks(lo, hi, mode, workers, keep=None if sink is None else "csv"):
         size = int(chunk.counts.sum())
         if sink is not None:
-            for text in _csv_slices(chunk):
+            for text in chunk.rows:
                 sink.write(text)
             sink.flush()
         if after is not None:
@@ -786,18 +806,18 @@ def read_csv(path: str) -> Iterator[ScanRecord]:
             yield parse_record(line)
 
 
-def _csv_slices(chunk: _ChunkResult) -> Iterator[str]:
-    """The chunk's CSV lines as format_record writes them, one string per
-    _SLICE rows, built from its arrays with no Python step per row.  A 0
-    in wp, wr, pa or rb means no witness or no sieve pair, so it becomes
-    an empty field."""
-    for a in range(0, chunk.stage.size, _SLICE):
+def _csv_slices(lo: int, stages: np.ndarray, *cols: np.ndarray) -> Iterator[str]:
+    """The CSV lines of the rows n = lo, lo + 1, ... as format_record writes
+    them, one string per _SLICE rows, built from the columns stage, wp, wr,
+    pa and rb with no Python step per row.  A 0 in wp, wr, pa or rb means
+    no witness or no sieve pair, so it becomes an empty field."""
+    for a in range(0, stages.size, _SLICE):
         sl = slice(a, a + _SLICE)
-        stage = chunk.stage[sl]
+        stage = stages[sl]
         # a row's numbers by slot, the stage's slot holding 0
         nums = np.zeros((stage.size, 6), dtype=np.int64)
-        nums[:, 0] = np.arange(chunk.lo + a, chunk.lo + a + stage.size)
-        for j, col in enumerate((chunk.wp, chunk.wr, chunk.pa, chunk.rb), 2):
+        nums[:, 0] = np.arange(lo + a, lo + a + stage.size)
+        for j, col in enumerate(cols, 2):
             nums[:, j] = col[sl]
         # the digit groups of each number, most significant first; division
         # by a scalar, as numpy divides by an array several times slower
@@ -895,15 +915,16 @@ def scan_to_csv(
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> ScanSummary:
-    """Stream scan records to CSV, with an atomic checkpoint after each chunk.
+    """Stream scan records to CSV, with an atomic checkpoint after each piece
+    (see _run_chunks).
 
     The checkpoint is JSON holding mode, lo and hi of the call and the last
-    n of the last fully written chunk.  When it names an earlier stopping
+    n of the last fully written piece.  When it names an earlier stopping
     point of the same call and the CSV starts with the header, the scan
     resumes after the last intact row up to that point and appends, so an
     interrupted and resumed run writes the bytes of an uninterrupted one.
     Rows above the checkpoint, left by an interrupt or a crash inside a
-    chunk, are dropped on resume and written again.  A checkpoint of another
+    piece, are dropped on resume and written again.  A checkpoint of another
     mode or range, or one without them, raises ValueError before the CSV is
     opened.  progress gets the count of n written so far in this call and
     the count of n this call writes.  The summary covers all of [lo, hi],

@@ -1,9 +1,12 @@
 """Checkpoint access and interrupt hooks for the resumable CSV tests.
 
 A checkpoint is JSON holding the mode, lo and hi of its scan and the last
-n of the last fully written chunk.  stop_at_slice stands in for the chunk
-emitter scan._csv_slices, which yields the text of scan._SLICE rows at a
-time, and raises KeyboardInterrupt at a chosen slice.
+n of the last fully written piece.  stop_at_slice stands in for
+scan._summarize, the fold that writes the CSV text of each piece one
+slice (scan._SLICE rows) at a time, and raises KeyboardInterrupt at a
+chosen write.  The hook lives in the parent process: pool workers are
+forked before a test patches anything, so they would not see a patched
+name.
 """
 
 from __future__ import annotations
@@ -25,20 +28,28 @@ def write_checkpoint(path, mode: str, lo: int, hi: int, last: int) -> None:
 
 
 def stop_at_slice(slices: int):
-    """A scan._csv_slices that emits the first `slices` slices of the scan,
-    counted across chunks, and raises KeyboardInterrupt in place of the next."""
-    real = scan._csv_slices
-    done = 0
+    """A scan._summarize whose CSV sink takes the first `slices` slices of
+    the call, counted across pieces, and raises KeyboardInterrupt in place
+    of the next write."""
+    real = scan._summarize
 
-    def emit(chunk):
-        nonlocal done
-        for text in real(chunk):
-            if done == slices:
+    class Sink:
+        def __init__(self, fh):
+            self.fh, self.done = fh, 0
+
+        def write(self, text):
+            if self.done == slices:
                 raise KeyboardInterrupt
-            done += 1
-            yield text
+            self.done += 1
+            return self.fh.write(text)
 
-    return emit
+        def flush(self):
+            self.fh.flush()
+
+    def summarize(lo, hi, mode, workers, progress, sink=None, after=None):
+        return real(lo, hi, mode, workers, progress, Sink(sink), after)
+
+    return summarize
 
 
 def last_row_n(path) -> int:

@@ -232,7 +232,7 @@ def test_criterion_10_interrupt_and_resume(tmp_path, monkeypatch):
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
         # four slices into the second chunk, whose rows lie above the checkpoint
-        m.setattr(scan, "_csv_slices", stop_at_slice(CHUNK // scan._SLICE + 4))
+        m.setattr(scan, "_summarize", stop_at_slice(CHUNK // scan._SLICE + 4))
         scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     assert checkpoint_last(ckpt) == lo + CHUNK - 1
     # the rows of those four slices are in the CSV, and the resume drops them

@@ -225,7 +225,7 @@ def test_resumed_scan_summary_covers_whole_range(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rows.csv"
     ckpt = tmp_path / "rows.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "_csv_slices", stop_at_slice(3))  # one slice into the second chunk
+        m.setattr(scan, "_summarize", stop_at_slice(3))  # one slice into the second chunk
         scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
     assert checkpoint_last(ckpt) == lo + 2 * scan._SLICE - 1 < hi
     # the slice past the checkpoint is in the CSV, and the resume drops it

@@ -403,6 +403,52 @@ def test_normalizer_generators():
                 assert group_order(gens) == factorial(n) // ct.class_size() * phi, (ct, c)
 
 
+_NORMALIZER_GENERATORS = permgroup._normalizer_generators
+
+
+def _with_every_unit(c):
+    """The centralizer generators of _normalizer_generators(c), and the
+    power map x_i -> x_(i*j) on every cycle for every unit j mod ord(c), not
+    only for a generating set of the units."""
+    order = c.cycle_type().element_order()
+    gens = [g for g in _NORMALIZER_GENERATORS(c) if g * c == c * g]
+    for j in range(2, order):
+        if gcd(j, order) == 1:
+            img = list(range(c.degree))
+            for cyc in c.cycles():
+                for i, x in enumerate(cyc):
+                    img[x] = cyc[i * j % len(cyc)]
+            gens.append(Permutation(tuple(img)))
+    return gens
+
+
+def test_normalizer_generators_take_a_generating_set_of_the_units():
+    for n in range(5, 9):
+        for parts in _partitions(n):
+            ct = CycleType(n, parts)
+            order = ct.element_order()
+            if not ct.is_even() or is_prime_power(order) is None:
+                continue
+            for c in (next(class_members(n, ct, 0)), next(class_members(n, ct, 1))):
+                gens = _NORMALIZER_GENERATORS(c)
+                assert group_order(gens) == group_order(_with_every_unit(c)), (ct, c)
+                # the power maps are the generators that do not commute with
+                # c: the units mod 3, 4, 5 and 7 are cyclic, so one each
+                power_maps = [g for g in gens if g * c != c * g]
+                assert len(power_maps) == (order > 2), (ct, c)
+    # the units mod 8 are not cyclic and take two: 3 and 5 (or 7)
+    c = parse_cycles("(1 2 3 4 5 6 7 8)(9 10)", 10)
+    gens = _NORMALIZER_GENERATORS(c)
+    assert group_order(gens) == group_order(_with_every_unit(c)) == 16 * 4
+    assert len([g for g in gens if g * c != c * g]) == 2
+
+
+def test_condition5_verdicts_do_not_depend_on_the_unit_generators(monkeypatch):
+    verdicts = [check_condition5(n) for n in range(5, 9)]
+    monkeypatch.setattr(permgroup, "_normalizer_generators", _with_every_unit)
+    assert [check_condition5(n) for n in range(5, 9)] == verdicts
+
+
 def test_condition5_verdicts():
     assert check_condition5(5) == (CycleType(5, (3, 1, 1)), CycleType(5, (5,)))
     assert check_condition5(6) is None

@@ -446,7 +446,7 @@ def test_interrupted_resume_is_byte_identical(tmp_path, monkeypatch):
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "_csv_slices", stop_at_slice(SLICES))  # as the second chunk starts
+        m.setattr(scan, "_summarize", stop_at_slice(SLICES))  # as the second chunk starts
         scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
     stopped_at = checkpoint_last(ckpt)
     assert stopped_at == lo + CHUNK - 1
@@ -468,7 +468,7 @@ def test_interrupt_in_a_later_chunk_resumes_byte_identical(tmp_path, monkeypatch
     out = tmp_path / "resumed.csv"
     ckpt = tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "_csv_slices", stop_at_slice(SLICES + 2))  # two slices into the second chunk
+        m.setattr(scan, "_summarize", stop_at_slice(SLICES + 2))  # two slices into the second chunk
         scan_to_csv(lo, hi, str(out), mode="with-two", checkpoint_path=str(ckpt))
     # the checkpoint covers the first chunk; the rows written past it go on resume
     assert checkpoint_last(ckpt) == lo + CHUNK - 1
@@ -494,7 +494,7 @@ def test_scan_to_csv_summary_is_the_scan_summary(tmp_path, monkeypatch, mode):
 
     out, ckpt = tmp_path / "resumed.csv", tmp_path / "resumed.ckpt"
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
-        m.setattr(scan, "_csv_slices", stop_at_slice(3))  # one slice into the second chunk
+        m.setattr(scan, "_summarize", stop_at_slice(3))  # one slice into the second chunk
         scan_to_csv(lo, hi, str(out), mode=mode, checkpoint_path=str(ckpt), workers=1)
     assert checkpoint_last(ckpt) == lo + scan.CHUNK - 1
     resumed = scan_to_csv(lo, hi, str(out), mode=mode, checkpoint_path=str(ckpt), workers=1)
@@ -521,7 +521,9 @@ def test_crash_mid_chunk_resumes_byte_identical(tmp_path):
     assert checkpoint_last(ckpt) == hi
 
 
-def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch, workers):
+    # a range of more than one chunk keeps its seams at lo + i * CHUNK
     seen = []
     real = scan._write_checkpoint
     out = tmp_path / "rows.csv"
@@ -536,7 +538,7 @@ def test_scan_to_csv_checkpoints_each_chunk_end(tmp_path, monkeypatch):
     monkeypatch.setattr(scan, "_write_checkpoint", record)
     lo, hi = 9, 2 * CHUNK + 100
     ckpt = tmp_path / "rows.ckpt"
-    scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt))
+    scan_to_csv(lo, hi, str(out), checkpoint_path=str(ckpt), workers=workers)
     assert seen == [lo + CHUNK - 1, lo + 2 * CHUNK - 1, hi]
     assert json.loads(ckpt.read_text()) == {"mode": "any", "lo": lo, "hi": hi, "last": hi}
 
@@ -551,11 +553,13 @@ def test_scan_to_csv_progress_reports_cumulative_counts(tmp_path):
     out, ckpt = str(tmp_path / "rows.csv"), str(tmp_path / "rows.ckpt")
     scan_to_csv(lo, hi, out, checkpoint_path=ckpt, progress=report)
     assert seen == [(CHUNK, hi - lo + 1), (hi - lo + 1, hi - lo + 1)]
-    # a resumed call counts only the n it writes
+    # a resumed call counts only the n it writes; its 92 n are at most one
+    # chunk, so 2 workers split them into two pieces of 46, each reported
     write_checkpoint(ckpt, "any", lo, hi, lo + CHUNK - 1)
     seen.clear()
-    scan_to_csv(lo, hi, out, checkpoint_path=ckpt, progress=report)
-    assert seen == [(hi - lo - CHUNK + 1, hi - lo - CHUNK + 1)]
+    scan_to_csv(lo, hi, out, checkpoint_path=ckpt, workers=2, progress=report)
+    assert hi - lo - CHUNK + 1 == 92
+    assert seen == [(46, 92), (92, 92)]
 
 
 def test_resume_with_torn_tail_line(tmp_path):
@@ -696,7 +700,7 @@ def test_resume_refuses_a_checkpoint_of_another_run(tmp_path):
 
 
 def _emitted(chunk):
-    return "".join(scan._csv_slices(chunk))
+    return "".join(scan._csv_slices(chunk.lo, *chunk.rows))
 
 
 def _formatted(chunk):
@@ -722,7 +726,7 @@ def _first_difference(got: str, want: str):
 )
 def test_chunk_emitter_matches_format_record(a, width, mode, size):
     b = min(a + width, 200000)
-    (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
+    (chunk,) = scan._run_chunks(a, b, mode, 1, keep="arrays")
     with pytest.MonkeyPatch.context() as m:
         m.setattr(scan, "_SLICE", size)
         assert _first_difference(_emitted(chunk), _formatted(chunk)) is None
@@ -731,7 +735,7 @@ def test_chunk_emitter_matches_format_record(a, width, mode, size):
 def test_chunk_emitter_covers_every_stage():
     texts = []
     for a, b, mode in ((31000, 32000, "any"), (46000, 47000, "any"), (9, 5000, "with-two")):
-        (chunk,) = scan._run_chunks(a, b, mode, 1, keep=True)
+        (chunk,) = scan._run_chunks(a, b, mode, 1, keep="arrays")
         texts.append(_emitted(chunk))
         assert _first_difference(texts[-1], _formatted(chunk)) is None
     lines = "".join(texts).splitlines()
@@ -804,7 +808,7 @@ def test_csv_slices_write_every_digit_count_and_empty_fields():
     cols = [np.roll(np.array(values, dtype=np.int64), j) for j in range(4)]
     stage = (np.arange(rows) % len(scan.STAGES)).astype(np.uint8)
     for lo in [10**k - 2 for k in range(1, scan._DIGITS)] + [10**scan._DIGITS - rows]:
-        chunk = scan._ChunkResult(lo, np.zeros(len(scan.STAGES), dtype=np.int64), stage, *cols, [])
+        chunk = scan._ChunkResult(lo, np.zeros(len(scan.STAGES), dtype=np.int64), [], (stage, *cols))
         want = "".join(
             f"{lo + i},{scan.STAGES[stage[i]]},{','.join(str(int(col[i]) or '') for col in cols)}\n" for i in range(rows)
         )
@@ -1016,3 +1020,74 @@ def test_a_process_that_scanned_on_the_pool_exits_with_its_workers():
     pids = [int(pid) for pid in proc.stdout.split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+# ---------------------------------------------------------------------------
+# a range of at most one chunk, split across the workers
+
+
+def test_chunk_bounds_split_a_short_range_into_near_equal_pieces():
+    assert scan._chunk_bounds(9, 9, 2) == [(9, 9)]
+    assert scan._chunk_bounds(9, 11, 2) == [(9, 9), (10, 11)]
+    assert scan._chunk_bounds(9, 100, 2) == [(9, 54), (55, 100)]
+    assert scan._chunk_bounds(9, 8 + CHUNK, 2) == [(9, 8 + CHUNK // 2), (9 + CHUNK // 2, 8 + CHUNK)]
+    assert scan._chunk_bounds(9, 8 + CHUNK, 1) == [(9, 8 + CHUNK)]
+    assert scan._chunk_bounds(10, 20, 4) == [(10, 11), (12, 14), (15, 17), (18, 20)]
+    # one more n makes two chunks, whose seam stays at lo + CHUNK
+    assert scan._chunk_bounds(9, 9 + CHUNK, 2) == [(9, 8 + CHUNK), (9 + CHUNK, 9 + CHUNK)]
+
+
+def _checkpointed(tmp_path, monkeypatch, lo, hi, mode, workers):
+    """The CSV bytes of [lo, hi] on this many workers and the n of each
+    checkpoint, checking that each covers exactly the rows on disk."""
+    out, ckpt = tmp_path / f"split-{workers}.csv", tmp_path / f"split-{workers}.ckpt"
+    seen = []
+    real = scan._write_checkpoint
+
+    def record(path, run, n):
+        rows = out.read_text(encoding="ascii").splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(lo, n + 1))
+        seen.append(n)
+        real(path, run, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_write_checkpoint", record)
+        scan_to_csv(lo, hi, str(out), mode=mode, checkpoint_path=str(ckpt), workers=workers)
+    return out.read_bytes(), seen
+
+
+@pytest.mark.parametrize("mode", scan.MODES)
+@pytest.mark.parametrize("width", [1, 2, 3, 511, 512, CHUNK])
+def test_a_one_chunk_range_split_across_workers_gives_the_same_output(tmp_path, monkeypatch, mode, width):
+    # 31416, the first other_divisor row, lies in every range wider than 16
+    lo = 31_400
+    hi = lo + width - 1
+    run = scan_with_two if mode == "with-two" else scan_range
+    one, two = run(lo, hi, workers=1), run(lo, hi, workers=2)
+    assert (two.lo, two.hi, two.mode, two.counts, two.exceptions) == (one.lo, one.hi, one.mode, one.counts, one.exceptions)
+    assert list(iter_scan(lo, hi, mode, workers=2)) == list(iter_scan(lo, hi, mode, workers=1))
+    rows_one, seen_one = _checkpointed(tmp_path, monkeypatch, lo, hi, mode, 1)
+    rows_two, seen_two = _checkpointed(tmp_path, monkeypatch, lo, hi, mode, 2)
+    assert rows_two == rows_one
+    # each checkpoint is a piece's last n: one piece on 1 worker or for one
+    # n, else two of width // 2 and width - width // 2 n
+    assert seen_one == [hi]
+    assert seen_two == ([hi] if width == 1 else [lo + width // 2 - 1, hi])
+    if width > 1:
+        assert scan._pool is not None and scan._pool[:2] == (os.getpid(), 2)
+
+
+def test_a_csv_scan_on_the_pool_formats_no_row_in_the_parent(tmp_path, monkeypatch):
+    # fork the pool's workers before the patch, so that only they format
+    scan._worker_pool(2).submit(int).result()
+
+    def refuse(*args):
+        raise AssertionError("CSV rows made in the parent")
+
+    want = {width: _rows(tmp_path, 9, 8 + width, 1) for width in (100, 3 * CHUNK)}
+    monkeypatch.setattr(scan, "_csv_slices", refuse)
+    for width, rows in want.items():
+        assert _rows(tmp_path, 9, 8 + width, 2) == rows
+    fh = io.StringIO()
+    scan._summarize(9, 108, "with-two", 2, None, fh)
+    assert fh.getvalue() == _records(9, 108, "with-two")
