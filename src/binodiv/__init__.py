@@ -31,7 +31,6 @@ from .conditions import (
     ObstructionSet,
     condition1_holds,
     condition2_direct,
-    condition2_holds,
     obstructions,
     primitive_index_divisible,
     witness_for,

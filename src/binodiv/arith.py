@@ -1,15 +1,18 @@
 """Integer arithmetic helpers: primality, factorization, digits, prime powers.
 
-Everything here is exact.  Primality is deterministic Miller-Rabin with a
-witness set that is exact below psi_12 > 2**78, and larger n are refused;
-factorization is trial division by those twelve witness primes, 2 to 37,
-followed by Brent's cycle-finding variant of Pollard rho for the cofactor.
+Everything here is exact.  Primality is deterministic Miller-Rabin: an n
+below psi_k, the least strong pseudoprime to the first k primes, runs only
+those k witnesses (2, 3 and 5 below 25,326,001), and the twelve primes up
+to 37 are exact below psi_12 > 2**78; larger n are refused.  Factorization
+is trial division by those twelve witness primes, followed by Brent's
+cycle-finding variant of Pollard rho for the cofactor.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,17 @@ __all__ = [
     "primes_upto",
 ]
 
-# Miller-Rabin with the twelve prime bases up to 37 is exact below psi_12,
-# the least strong pseudoprime to all of them (Sorenson and Webster,
-# Math. Comp. 86, 2017); psi_12 = 399165290221 * 798330580441 > 2**78.
+# Miller-Rabin with the first k prime bases is exact below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233): psi_1 to psi_8 as listed
+# by Jaeschke (Math. Comp. 61, 1993), psi_9 to psi_11 by Jiang and Deng
+# (Math. Comp. 83, 2014), psi_12 by Sorenson and Webster (Math. Comp. 86,
+# 2017); psi_12 = 399165290221 * 798330580441 > 2**78.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051,
+)
 _MR_BOUND = 318665857834031151167461
 
 
@@ -75,7 +85,11 @@ class Factorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for 0 <= n < psi_12 (about 3.2e23).
 
-    Larger n raise ValueError: psi_12 itself passes every round.
+    Trial division by the primes up to 37 settles n < 41**2; otherwise n
+    runs Miller-Rabin with the first k primes as witnesses, for the least
+    k with n < psi_k (_MR_PSI): 2 alone below 2,047, 2, 3 and 5 below
+    25,326,001, all twelve from 3,825,123,056,546,413,051 on.  Larger n
+    raise ValueError: psi_12 itself passes every round.
     """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
@@ -93,7 +107,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -25,7 +25,6 @@ __all__ = [
     "SMALL_INDEX_TABLE",
     "condition1_holds",
     "condition2_direct",
-    "condition2_holds",
     "obstructions",
     "primitive_index_divisible",
     "witness_for",
@@ -287,30 +286,39 @@ def _least_digits(x: np.ndarray, base: np.ndarray, place: np.ndarray, digs: np.n
 
 
 def primitive_index_divisible(n: int, p: int) -> bool:
-    """Whether p <= n - 3, for n >= 9: a sufficient condition for p to
-    divide the index of every primitive proper subgroup of A_n, but not a
-    necessary one.  The primitive proper subgroups of A_13 have orders
-    dividing 78 (13:6) or 5,616 (PSL(3, 3)), so 11 divides every one of
-    their indices, yet (13, 11) gives False.  condition2_direct reads the
-    rule for min(p, r); it alone decides (n, s) at a prime n, wrongly only
-    for s = n - 2 at twin primes n >= 13 (s >= n - 1 does not divide
-    (n - 2)!, the index of AGL(1, n) & A_n).
+    """Whether p divides the index of every primitive proper subgroup of
+    A_n, for n >= 9 and a prime p: exactly when p <= n - 3, or when p =
+    n - 2 and n - 1 is not a power of 2.
 
-    Why p <= n - 3 suffices: a subgroup's index is prime to p exactly when
-    it holds a Sylow p-subgroup of A_n, and a primitive one that does is
-    all of A_n.  For odd p <= n - 3, the Sylow subgroup holds
-    a p-cycle, and a primitive group with a p-cycle contains A_n (Jordan's
-    theorem).  For p = 2, it holds a double transposition, and a primitive
-    group of degree n >= 9 with a double transposition contains A_n
-    (Jordan's theorem on double transpositions: a primitive group of
-    minimal degree 4 has degree at most 8).  The order of such
-    a subgroup may still be divisible by p: PGammaL(2, 8) < A_9 is
-    primitive of order 1,512 = 2^3 * 3^3 * 7 and index 120.
+    A subgroup's index is prime to p exactly when it holds a Sylow
+    p-subgroup of A_n.  For p <= n - 3 a primitive one that does is all of
+    A_n.  For odd p, the Sylow subgroup holds a p-cycle, and a primitive
+    group with a p-cycle contains A_n (Jordan's theorem).  For p = 2, it
+    holds a double transposition, and a primitive group of degree n >= 9
+    with a double transposition contains A_n (Jordan's theorem on double
+    transpositions: a primitive group of minimal degree 4 has degree at
+    most 8).  The order of such a subgroup may still be divisible by p:
+    PGammaL(2, 8) < A_9 is primitive of order 1,512 = 2^3 * 3^3 * 7 and
+    index 120.
+
+    For p > n/2 a p-cycle generates a Sylow p-subgroup.  One that fixes
+    two points (p = n - 2) lies in a primitive proper subgroup only if
+    PGL(2, q) <= G <= PGammaL(2, q) on n = q + 1 points (G. A. Jones,
+    Bull. Aust. Math. Soc. 89, 2014), whose (q - 1)-cycles have prime
+    length only at q = 2^m: so (9, 7) gives False, through PGammaL(2, 8)
+    above, and (13, 11) True.  For p = n - 1, PSL(2, p) on the p + 1
+    points of the projective line holds a p-cycle; for p = n, AGL(1, n) &
+    A_n holds an n-cycle; and a p > n does not divide |A_n|.
     """
     if n < 9:
         raise ValueError("primitive_index_divisible requires n >= 9")
     _check_prime(p)
-    return p <= n - 3
+    return _primitive_covered(n, p)
+
+
+def _primitive_covered(n: int, p: int) -> bool:
+    """primitive_index_divisible for n >= 9 and a prime p, unchecked."""
+    return p <= n - 3 or p == n - 2 and (n - 1) & (n - 2) != 0
 
 
 def condition2_direct(n: int, p: int, r: int) -> bool:
@@ -319,9 +327,11 @@ def condition2_direct(n: int, p: int, r: int) -> bool:
     Intransitive indices are the binomials (Condition (1)); imprimitive
     indices are equipartition counts over nontrivial divisors; primitive
     indices are covered when min(p, r) passes primitive_index_divisible.
-    A False is wrong only for (n - 2, n) at twin primes n >= 13, such as
-    (13, 11, 13): at a composite n a pair that passes Condition (1) holds
-    a prime divisor of n (k = 1), at most n/2 <= n - 3.
+    Reading the rule for min(p, r) alone is exact: a pair that passes
+    Condition (1) holds a prime divisor of n (k = 1).  So at a composite n
+    the smaller prime is at most n/2 <= n - 3; at a prime n the pair holds
+    n, which misses the index of AGL(1, n) & A_n, and the other prime
+    covers the family only if it is the smaller one.
     """
     if n < 9:
         raise ValueError("condition2_direct requires n >= 9")
@@ -332,7 +342,7 @@ def condition2_direct(n: int, p: int, r: int) -> bool:
 
 def _transitive_covered(n: int, p: int, r: int) -> bool:
     """The imprimitive and primitive families of condition2_direct."""
-    return _imprimitive_covered(n, p, r) and primitive_index_divisible(n, min(p, r))
+    return _imprimitive_covered(n, p, r) and _primitive_covered(n, min(p, r))
 
 
 def _imprimitive_covered(n: int, p: int, r: int) -> bool:
@@ -345,17 +355,6 @@ def _imprimitive_covered(n: int, p: int, r: int) -> bool:
         ):
             return False
     return True
-
-
-def condition2_holds(n: int, p: int, r: int) -> bool:
-    """Condition (2) for any n >= 1, by the cheapest valid route.
-
-    n <= 8 uses the hardcoded index table, and prime powers n >= 9 the
-    family sweep of condition2_direct.  Every other n reduces to Condition
-    (1), to which Condition (2) is then equivalent (the lemma of
-    _condition1_many).
-    """
-    return witness_for(n, p, r).holds
 
 
 def witness_for(n: int, p: int, r: int) -> ConditionWitness:

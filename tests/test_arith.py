@@ -67,6 +67,69 @@ def test_is_prime_mersenne_and_carmichael():
 
 
 PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1..11
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017)
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_is_prime_catches_each_witness_prefix_pseudoprime(k):
+    # psi_k passes the first k rounds, so only a later witness catches it
+    psi = PSI[k - 1]
+    assert not sympy.isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in BASES[:k])
+    assert not is_prime(psi)
+    for n in range(psi - 100, psi + 101):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_the_sieve_below_10_6():
+    flags = np.zeros(10**6, dtype=bool)
+    flags[primes_upto(10**6 - 1)] = True
+    assert [is_prime(n) for n in range(10**6)] == flags.tolist()
+
+
+def test_is_prime_matches_sympy_up_to_psi_12():
+    # bit lengths drawn uniformly, so every witness prefix is reached
+    rng = random.Random(0x5EED)
+    for _ in range(4000):
+        bits = rng.randrange(11, PSI_12.bit_length() + 1)
+        n = min(rng.getrandbits(bits) | 1 << (bits - 1) | 1, PSI_12 - 2)
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_runs_three_witnesses_below_psi_3(monkeypatch):
+    # 9,999,991 < psi_3 is prime: one modular exponentiation per witness 2, 3, 5
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(binodiv.arith, "pow", spy, raising=False)
+    assert is_prime(9_999_991)
+    assert [a for a, _, _ in calls] == [2, 3, 5]
 
 
 def test_is_prime_refuses_the_twelve_base_pseudoprime():

@@ -72,6 +72,15 @@ def test_check_decides_each_condition_once(capsys, monkeypatch):
     assert calls == {"_condition1": 1, "is_prime_power": 1}
 
 
+def test_check_twin_prime_pair(capsys):
+    # (11, 13) covers every maximal-subgroup index of A_13; PSL(3, 3), the
+    # largest primitive proper subgroup, has order 5,616, prime to 11
+    code = main(["check", "13", "11", "13"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out == {"n": 13, "p": 11, "r": 13, "condition1": True, "condition2": True, "route": "direct_search"}
+
+
 @pytest.mark.parametrize(
     "argv, route",
     [

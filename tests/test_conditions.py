@@ -12,7 +12,6 @@ from binodiv.conditions import (
     SMALL_INDEX_TABLE,
     condition1_holds,
     condition2_direct,
-    condition2_holds,
     obstructions,
     primitive_index_divisible,
     witness_for,
@@ -208,20 +207,20 @@ def test_condition1_fallback_agrees_near_the_int64_limit():
 
 
 def test_small_table_verdicts():
-    assert condition2_holds(6, 2, 5)
-    assert condition2_holds(5, 2, 5)
-    assert condition2_holds(7, 3, 7)
-    assert not condition2_holds(7, 3, 11)
-    assert not condition2_holds(5, 3, 7)
+    assert witness_for(6, 2, 5).holds
+    assert witness_for(5, 2, 5).holds
+    assert witness_for(7, 3, 7).holds
+    assert not witness_for(7, 3, 11).holds
+    assert not witness_for(5, 3, 7).holds
     # degenerate degrees have no proper subgroups to obstruct
-    assert condition2_holds(1, 2, 3)
-    assert condition2_holds(2, 2, 3)
+    assert witness_for(1, 2, 3).holds
+    assert witness_for(2, 2, 3).holds
 
 
 def test_small_table_6_2_3():
     # indices of A_6 are 6, 10, 15: each is divisible by 2 or by 3
     assert all(i % 2 == 0 or i % 3 == 0 for i in SMALL_INDEX_TABLE[6])
-    assert condition2_holds(6, 2, 3)
+    assert witness_for(6, 2, 3).holds
 
 
 def test_small_table_shape():
@@ -306,7 +305,7 @@ def test_condition2_implies_condition1_for_composite_range():
     for _ in range(300):
         n = rng.randrange(9, 10**4)
         p, r = rng.choice(SMALL_PRIMES), rng.choice(SMALL_PRIMES)
-        if condition2_holds(n, p, r):
+        if witness_for(n, p, r).holds:
             assert condition1_holds(n, p, r), (n, p, r)
 
 
@@ -336,6 +335,12 @@ def test_primitive_index_divisible():
     assert not primitive_index_divisible(12, 11)
     assert not primitive_index_divisible(12, 13)
     assert primitive_index_divisible(9, 5)
+    # p = n - 2 covers unless n - 1 is a power of 2
+    assert primitive_index_divisible(13, 11)
+    assert primitive_index_divisible(15, 13)
+    assert not primitive_index_divisible(9, 7)
+    assert not primitive_index_divisible(33, 31)
+    assert not primitive_index_divisible(13, 13)
     with pytest.raises(ValueError):
         primitive_index_divisible(8, 3)
     with pytest.raises(ValueError):
@@ -375,8 +380,77 @@ def test_primitive_index_divisible_on_pgammal_2_8():
     gens = [Permutation(tuple(map(f, range(9)))) for f in maps]
     assert all(g.is_even() for g in gens)
     assert group_order(gens) == 1512
+    # x -> a x is a 7-cycle on the units, fixing 0 and infinity
+    assert gens[1].cycle_type().parts == (7, 1, 1)
     for p in (2, 3, 5, 7):
         assert primitive_index_divisible(9, p) == (120 % p == 0), p
+
+
+def test_psl_3_3_leaves_11_dividing_every_primitive_index_of_a_13():
+    # PSL(3, 3) = SL(3, 3) on the 13 points of PG(2, 3), each a vector
+    # over GF(3) whose first nonzero coordinate is 1, made by transvections
+    points = [v for v in itertools.product(range(3), repeat=3) if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    assert len(points) == 13
+
+    def act(i, j):
+        def image(v):
+            w = list(v)
+            w[i] = (w[i] + w[j]) % 3
+            # scale by the inverse of the first nonzero coordinate, itself in GF(3)
+            c = next(x for x in w if x)
+            return points.index(tuple(x * c % 3 for x in w))
+
+        return Permutation(tuple(image(v) for v in points))
+
+    gens = [act(i, j) for i, j in itertools.permutations(range(3), 2)]
+    assert all(g.is_even() for g in gens)
+    assert group_order(gens) == 5616
+    # every element, by closure under the generators
+    group, frontier = {Permutation.identity(13)}, [Permutation.identity(13)]
+    while frontier:
+        frontier = [h for h in {g * t for g in frontier for t in gens} if h not in group]
+        group.update(frontier)
+    assert len(group) == 5616
+    assert all(g.cycle_type().element_order() != 11 for g in group)
+    # 2-transitive, so primitive; its index is divisible by 11 but not by 13
+    assert len({(g.images[0], g.images[1]) for g in group}) == 13 * 12
+    index = math.factorial(13) // 2 // 5616
+    assert index % 11 == 0 and index % 13 != 0
+    assert primitive_index_divisible(13, 11)
+    assert condition2_direct(13, 11, 13)
+    assert witness_for(13, 11, 13).holds
+
+
+@pytest.mark.parametrize("n, p, r", [(13, 11, 13), (46800, 2, 149), (16, 2, 3)])
+def test_each_argument_is_tested_for_primality_once(monkeypatch, n, p, r):
+    tested = []
+
+    def counted(m, real=conditions.is_prime):
+        tested.append(m)
+        return real(m)
+
+    monkeypatch.setattr(conditions, "is_prime", counted)
+    for call in (condition2_direct, witness_for):
+        tested.clear()
+        call(n, p, r)
+        assert tested == [p, r], call
+
+
+def test_pgl_2_32_refuses_31_at_33():
+    # PGL(2, 32) = PSL(2, 32) < A_33 on the projective line over GF(32) is
+    # primitive, and its order 32 * 33 * 31 holds the one factor 31 of 33!
+    order = 32 * 33 * 31
+    assert order == 32_736
+    assert (math.factorial(33) // 2 // order) % 31 != 0
+    assert not primitive_index_divisible(33, 31)
+
+
+def test_twin_primes_hold_at_the_larger():
+    ps = primes_upto(10**4)
+    twins = [int(n) for n in ps[1:][np.diff(ps) == 2] if n >= 13]
+    assert len(twins) == 203 and twins[0] == 13
+    for n in twins:
+        assert condition2_direct(n, n - 2, n), n
 
 
 def test_witness_for_routes():
@@ -425,15 +499,14 @@ def test_witness_decides_condition1_on_every_route():
 
 
 def test_witness_refuses_n_below_one():
-    for call in (witness_for, condition2_holds):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            call(0, 2, 3)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        witness_for(0, 2, 3)
 
 
 def test_n_beyond_int64_is_refused():
     # the digit kernels are int64: this n once died in an OverflowError
     big = 9223372036854775837
-    for call in (condition1_holds, condition2_direct, condition2_holds, witness_for):
+    for call in (condition1_holds, condition2_direct, witness_for):
         with pytest.raises(ValueError, match="int64"):
             call(big, 2, 3)
     with pytest.raises(ValueError, match="int64"):
