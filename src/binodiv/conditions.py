@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import digits, factorize, is_prime, is_prime_power
-from .kummer import prime_divides_equipartition
+from .arith import digit_sum, digits, factorize, is_prime, is_prime_power
+from .kummer import _carry_free, _prime_divides_copies, prime_divides_equipartition  # noqa: F401 (perfbench spans it)
 
 __all__ = [
     "ConditionWitness",
@@ -145,20 +145,22 @@ def _condition1(n: int, p: int, r: int) -> bool:
     """Enumerates the base-p set (cp members; sp digit steps to test a k in
     base p) over the base-r set when testing it in base r costs no more, and
     never one above OBSTRUCTION_CAP while the other is within it.  Either
-    set gives the same verdict.  A prime above n, which may not fit the
-    int64 kernels, is decided first: every k is carry-free in its base, so
-    the pair holds exactly when the other set is empty.  Next the least
-    member of each set is tested in the other base; most failing pairs stop."""
+    set gives the same verdict.  First q**v_q(n), the least member of the
+    base-q set (Kummer), is tested in the other base for q = p and q = r,
+    with no digit tuple built; most failing pairs stop there.  With a prime
+    above n, which may not fit the int64 kernels, every k is carry-free in
+    its base, so a pair that gets past them holds (n is a power of the
+    other prime or 1)."""
+    for q, b in ((p, r), (r, p)):
+        k = 1
+        while n % (k * q) == 0:
+            k *= q
+        if k < n and _carry_free(n, k, b):
+            return False
+    if max(p, r) > n:
+        return True
     dp, dr = digits(n, p), digits(n, r)
     cp, cr = (math.prod(d + 1 for d in ds) - 2 for ds in (dp, dr))
-    if max(p, r) > n:
-        return min(cp, cr) == 0
-    # q**v_q(n) is the least carry-free k of base q (Kummer): one carry-free
-    # in the other base too leaves C(n, k) prime to both
-    for q, b, dq, db in ((p, r, dp, dr), (r, p, dr, dp)):
-        k = q ** next(i for i, d in enumerate(dq) if d)
-        if k < n and all(d <= e for d, e in zip(digits(k, b), db)):
-            return False
     if min(cp, cr) > OBSTRUCTION_CAP:
         return bool(_condition1_many(*(np.array([v], dtype=np.int64) for v in (n, p, r)))[0])
     sp, sr = (1 if q == 2 else len(ds) for q, ds in ((p, dp), (r, dr)))
@@ -346,13 +348,12 @@ def _transitive_covered(n: int, p: int, r: int) -> bool:
 
 
 def _imprimitive_covered(n: int, p: int, r: int) -> bool:
+    sum_p, sum_r = digit_sum(n, p), digit_sum(n, r)
     for d in factorize(n).divisors():
         if d == 1 or d == n:
             continue
-        if not (
-            prime_divides_equipartition(n, d, p)
-            or prime_divides_equipartition(n, d, r)
-        ):
+        m = n // d
+        if not (_prime_divides_copies(d, m, p, sum_p) or _prime_divides_copies(d, m, r, sum_r)):
             return False
     return True
 

@@ -64,6 +64,22 @@ def prime_divides_equipartition(n: int, d: int, p: int) -> bool:
     return has_carry and not _is_power_of(d, p)
 
 
+def _carry_free(n: int, k: int, b: int) -> bool:
+    """Whether k and n - k add with no carry in base b, k >= 0: no base-b digit
+    of k exceeds n's, so prime b does not divide C(n, k) (Kummer)."""
+    while k:
+        if k % b > n % b:
+            return False
+        k, n = k // b, n // b
+    return True
+
+
+def _prime_divides_copies(d: int, m: int, p: int, n_sum: int) -> bool:
+    """prime_divides_equipartition for n = d * m of base-p digit sum n_sum,
+    unchecked, so that a caller trying many d sums the digits of n once."""
+    return (m >= p or digit_sum(d, p) * m != n_sum) and not _is_power_of(d, p)
+
+
 def _is_power_of(d: int, p: int) -> bool:
     # own loop: it stops at d's first nonzero base-p digit, digits() expands all
     while d % p == 0:

@@ -368,7 +368,9 @@ def direct_search(n: int, p: int) -> int | None:
     An n that is not a prime power takes the batched partner search, and
     has no partner for a p above n.  At n = q**e, k = 1 forces r = q if
     p != q; for p = q the primes are tried from 2 up, and they reach one in
-    (n/2, n) (Bertrand), which divides every imprimitive index.
+    (n/2, n) (Bertrand), which divides every imprimitive index.  So at a
+    prime n and p != n there is no partner r < n: direct_search(13, 11) is
+    None, though condition2_direct(13, 11, 13) holds.
     """
     _check_scan_n(n)
     _check_max_n(n)

@@ -128,8 +128,15 @@ def _spy_routes(monkeypatch):
 def test_condition1_fails_at_a_least_member_with_no_set(monkeypatch, triple):
     # k = 1, 4 = 2**v_2(12), 7 = 7**v_7(14) and 1 are carry-free in both bases
     sets, kernel = _spy_routes(monkeypatch)
+    expansions, expand = [], conditions.digits
+
+    def digits_spy(n, b):
+        expansions.append((n, b))
+        return expand(n, b)
+
+    monkeypatch.setattr(conditions, "digits", digits_spy)
     assert not condition1_holds(*triple)
-    assert sets == kernel == []
+    assert sets == kernel == expansions == []
 
 
 def test_condition1_past_the_least_members(monkeypatch):

@@ -1,11 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binodiv.arith import digits
+from binodiv.conditions import _dominated_mask
 from binodiv.kummer import (
+    _carry_free,
     carries_add,
     equipartition_has_carry,
     prime_divides_equipartition,
@@ -58,6 +62,30 @@ def test_carries_add_errors():
 )
 def test_carries_add_matches_schoolbook(x, y, p):
     assert carries_add(x, y, p) == _schoolbook_carries(x, y, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=2**62), st.sampled_from(["2", "3", "odd", "above"]))
+def test_carry_free_matches_digit_tuples_and_the_mask(data, n, kind):
+    if kind == "odd":
+        b = data.draw(st.sampled_from([5, 7, 11, 97, 65537]))
+    else:
+        b = n + data.draw(st.integers(1, 10**6)) if kind == "above" else int(kind)
+    if data.draw(st.booleans()):
+        # a k under n digit by digit, so carry-free ones are drawn often
+        k = sum(data.draw(st.integers(0, d)) * b**i for i, d in enumerate(digits(n, b)))
+    else:
+        k = data.draw(st.integers(0, n))
+    # k <= n, so k has no more digits than n
+    want = all(d <= e for d, e in zip(digits(k, b), digits(n, b)))
+    assert _carry_free(n, k, b) == want == bool(_dominated_mask(np.array([k], dtype=np.int64), n, b)[0])
+    assert not _carry_free(n, n + 1 + k, b)
+
+
+def test_carry_free_is_kummer_on_small_binomials():
+    for p in (2, 3, 5, 7):
+        for n in range(60):
+            assert [_carry_free(n, k, p) for k in range(n + 1)] == [math.comb(n, k) % p != 0 for k in range(n + 1)]
 
 
 @settings(max_examples=300, deadline=None)

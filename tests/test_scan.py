@@ -123,6 +123,12 @@ def test_direct_search_prime_powers():
         direct_search(8, 2)
 
 
+def test_direct_search_finds_no_partner_below_a_prime_n():
+    # k = 1 forces r = 13, which is not below n, yet (11, 13) covers A_13
+    assert direct_search(13, 11) is None
+    assert condition2_direct(13, 11, 13)
+
+
 def test_direct_search_returns_least_witness():
     for n in (48, 120, 3600):
         r = direct_search(n, 2)

@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+REPO = Path(__file__).resolve().parents[1]
+WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
 
 
 def test_unit_job_covers_python_3_12_to_3_14():
@@ -11,3 +13,11 @@ def test_unit_job_covers_python_3_12_to_3_14():
     jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
     versions = jobs["unit"]["strategy"]["matrix"]["python-version"]
     assert {"3.12", "3.13", "3.14"} <= set(versions)
+
+
+def test_bench_gate_runs_every_benchmark_workload():
+    # a workload added to BENCHMARK.json must also be checked in CI
+    jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    matrix = jobs["bench-gate"]["strategy"]["matrix"]["workload"]
+    assert matrix == [w["name"] for w in benchmark["workloads"]]
