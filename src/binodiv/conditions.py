@@ -142,15 +142,14 @@ def condition1_holds(n: int, p: int, r: int) -> bool:
 
 
 def _condition1(n: int, p: int, r: int) -> bool:
-    """Enumerates the base-p set (cp members; sp digit steps to test a k in
-    base p) over the base-r set when testing it in base r costs no more, and
-    never one above OBSTRUCTION_CAP while the other is within it.  Either
-    set gives the same verdict.  First q**v_q(n), the least member of the
-    base-q set (Kummer), is tested in the other base for q = p and q = r,
-    with no digit tuple built; most failing pairs stop there.  With a prime
-    above n, which may not fit the int64 kernels, every k is carry-free in
-    its base, so a pair that gets past them holds (n is a power of the
-    other prime or 1)."""
+    """First q**v_q(n), the least carry-free k of base q (Kummer), is tested
+    in the other base for q = p and q = r; most failing pairs stop there,
+    with no digit tuple built.  Past that, a prime above n (which may not
+    fit the int64 kernels) leaves every k carry-free in its base, so the
+    pair holds.  Otherwise enumerates the base-p set (cp members; sp digit
+    steps to test a k in base p) over the base-r set when testing it in
+    base r costs no more, and never one above OBSTRUCTION_CAP while the
+    other is within it.  Either set gives the same verdict."""
     for q, b in ((p, r), (r, p)):
         k = 1
         while n % (k * q) == 0:
@@ -349,9 +348,7 @@ def _transitive_covered(n: int, p: int, r: int) -> bool:
 
 def _imprimitive_covered(n: int, p: int, r: int) -> bool:
     sum_p, sum_r = digit_sum(n, p), digit_sum(n, r)
-    for d in factorize(n).divisors():
-        if d == 1 or d == n:
-            continue
+    for d in factorize(n).divisors()[1:-1]:
         m = n // d
         if not (_prime_divides_copies(d, m, p, sum_p) or _prime_divides_copies(d, m, r, sum_r)):
             return False

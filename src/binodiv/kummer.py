@@ -46,11 +46,8 @@ def equipartition_has_carry(n: int, d: int, p: int) -> bool:
     m = n/d.  Digit sums are submultiplicative and digit_sum(m, p) < m once
     m >= p, so m >= p copies always carry and need no digit sums.
     """
-    _check_block(n, d)
-    if p < 2:
-        raise ValueError("base must be at least 2")
-    m = n // d
-    return m >= p or digit_sum(d, p) * m != digit_sum(n, p)
+    _check_block(n, d, p)
+    return _copies_carry(d, n // d, p, digit_sum(n, p))
 
 
 def prime_divides_equipartition(n: int, d: int, p: int) -> bool:
@@ -60,8 +57,8 @@ def prime_divides_equipartition(n: int, d: int, p: int) -> bool:
     not a power of p.  The d = p**j case is genuinely exceptional: there the
     whole valuation of n! is swallowed by the block factorials.
     """
-    has_carry = equipartition_has_carry(n, d, p)
-    return has_carry and not _is_power_of(d, p)
+    _check_block(n, d, p)
+    return _prime_divides_copies(d, n // d, p, digit_sum(n, p))
 
 
 def _carry_free(n: int, k: int, b: int) -> bool:
@@ -75,9 +72,13 @@ def _carry_free(n: int, k: int, b: int) -> bool:
 
 
 def _prime_divides_copies(d: int, m: int, p: int, n_sum: int) -> bool:
-    """prime_divides_equipartition for n = d * m of base-p digit sum n_sum,
-    unchecked, so that a caller trying many d sums the digits of n once."""
-    return (m >= p or digit_sum(d, p) * m != n_sum) and not _is_power_of(d, p)
+    """Unchecked prime_divides_equipartition for n = d * m of base-p digit sum n_sum."""
+    return _copies_carry(d, m, p, n_sum) and not _is_power_of(d, p)
+
+
+def _copies_carry(d: int, m: int, p: int, n_sum: int) -> bool:
+    """equipartition_has_carry for n = d * m of base-p digit sum n_sum, unchecked."""
+    return m >= p or digit_sum(d, p) * m != n_sum
 
 
 def _is_power_of(d: int, p: int) -> bool:
@@ -87,7 +88,9 @@ def _is_power_of(d: int, p: int) -> bool:
     return d == 1
 
 
-def _check_block(n: int, d: int) -> None:
+def _check_block(n: int, d: int, p: int = 2) -> None:
+    if p < 2:
+        raise ValueError("base must be at least 2")
     if n < 2 or d < 1:
         raise ValueError("expected n >= 2 and d >= 1")
     if not 1 < d < n:
