@@ -189,8 +189,6 @@ def _check_scan(lo: int, hi: int, mode: str, workers: int | None) -> None:
 
 # the primes up to sqrt(MAX_N), which factor every n of a scan or search
 _ROOT_PRIMES = primes_upto(_iroot(MAX_N, 2))
-# the primes below _SMALL_BOUND, the first band of every partner search
-_SMALL_PRIMES = _ROOT_PRIMES[_ROOT_PRIMES < _SMALL_BOUND]
 
 
 def _root_primes(top: int) -> np.ndarray:
@@ -296,30 +294,23 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     Any viable r must divide C(n, k) for every base-p obstruction member k
     (Kummer: the sum k + (n - k) carries in base r), the least of which is
     k0 = p**v_p(n); so r divides one of the numerator terms n - k0 + 1,
-    ..., n, and the candidates are the primes q < n that divide one.  The
-    kernel decides each: a q that does not divide C(n, k0), such as p,
-    leaves k0 carry-free in base q as in base p, so Condition (1) fails.
-    They come from _term_divisors, or, where the k0 numerator terms would
-    make a block longer than a chunk, from _swept over the primes below
-    each such n.  A scan never sweeps: its residual n fail window A, so k0
+    ..., n, and the candidates are the primes q < n that divide one, from
+    _term_divisors.  The kernel decides each: a q that does not divide
+    C(n, k0), such as p, leaves k0 carry-free in base q as in base p, so
+    Condition (1) fails.  Every k0 must be at most CHUNK, so that no term
+    block outgrows a chunk; a scan's residual n fail window A, so their k0
     is at most n minus the prime power below n.  One _condition1_many call
     decides the candidates below _SMALL_BOUND, and one more the rest of the
-    pairs still open; only the second builds a prime table, up to the
-    largest n that still sweeps.  Pairs go _GROUP at a time.
+    pairs still open.  Pairs go _GROUP at a time.
     """
     found = np.zeros(ns.size, dtype=np.int64)
     for a in range(0, ns.size, _GROUP):
         g = slice(a, a + _GROUP)
         n, p, f = ns[g], ps[g], found[g]
-        k0 = _p_part(n, p)
-        sweep = k0 > CHUNK
-        owner, qs = _term_divisors(n, k0, np.flatnonzero(~sweep))
+        owner, qs = _term_divisors(n, _p_part(n, p))
         for small in (True, False):
-            rows = np.flatnonzero(sweep & (f == 0))
-            band = primes_upto(int(n[rows].max()))[_SMALL_PRIMES.size :] if rows.size and not small else _SMALL_PRIMES
-            more_owner, more_qs = _swept(n, k0, rows, band)
             in_band = (qs < _SMALL_BOUND) == small
-            o, q = np.concatenate((owner[in_band], more_owner)), np.concatenate((qs[in_band], more_qs))
+            o, q = owner[in_band], qs[in_band]
             at = np.flatnonzero(f[o] == 0)
             hit = at[_condition1_many(n[o[at]], p[o[at]], q[at])]
             # each row's candidates ascend, so its first hit is its least
@@ -329,62 +320,54 @@ def _partner_search(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return found
 
 
-def _term_divisors(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray):
-    """The pairs (i, q), i in rows, with q a prime below ns[i] (ns[i] not
-    prime) dividing one of the numerator terms ns[i] - ks[i] + 1, ...,
-    ns[i] of C(ns[i], ks[i]), ascending in i and then q, by sieving the
-    terms as one block each.  After division by the primes up to
-    sqrt(max ns), what is left of a term is 1 or a prime.
+def _term_divisors(ns: np.ndarray, ks: np.ndarray):
+    """The pairs (i, q) with q a prime below ns[i] (ns[i] not prime)
+    dividing one of the numerator terms ns[i] - ks[i] + 1, ..., ns[i] of
+    C(ns[i], ks[i]), ascending in i and then q, by sieving the terms as one
+    block each.  After division by the primes up to sqrt(max ns), what is
+    left of a term is 1 or a prime.
     """
-    n, k = ns[rows], ks[rows]
-    top = int(n.max(initial=0))
-    rem, _, _, (i, q) = _sieve(n, k, _root_primes(top))
+    top = int(ns.max(initial=0))
+    rem, _, _, (i, q) = _sieve(ns, ks, _root_primes(top))
     big = rem > 1
-    term = np.repeat(np.arange(rows.size), k)
+    term = np.repeat(np.arange(ns.size), ks)
     # one key per pair sorts by i, then q (no q exceeds top); a diff drops
     # repeats (np.unique hashes on numpy 2)
     scale = top + 1
     key = np.sort(np.concatenate((i, term[big])) * scale + np.concatenate((q, rem[big])))
     key = key[np.diff(key, prepend=-1) != 0]
-    return rows[key // scale], key % scale
-
-
-def _swept(ns: np.ndarray, ks: np.ndarray, rows: np.ndarray, band: np.ndarray):
-    """The pairs (i, q), i in rows, with q a prime of band below ns[i]
-    dividing one of the numerator terms ns[i] - ks[i] + 1, ..., ns[i] of
-    C(ns[i], ks[i]), ascending in i and then q: q divides one exactly when
-    ns[i] mod q < ks[i], one remainder per prime."""
-    owner, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for i in rows.tolist():
-        sub = band[: int(np.searchsorted(band, ns[i]))]
-        qs.append(sub[ns[i] % sub < ks[i]])
-        owner.append(np.full(qs[-1].size, i))
-    return np.concatenate(owner), np.concatenate(qs)
+    return key // scale, key % scale
 
 
 def direct_search(n: int, p: int) -> int | None:
     """Smallest prime r < n such that condition2_direct(n, p, r) holds.
 
-    An n that is not a prime power takes the batched partner search, and
-    has no partner for a p above n.  At n = q**e, k = 1 forces r = q if
-    p != q; for p = q the primes are tried from 2 up, and they reach one in
-    (n/2, n) (Bertrand), which divides every imprimitive index.  So at a
-    prime n and p != n there is no partner r < n: direct_search(13, 11) is
-    None, though condition2_direct(13, 11, 13) holds.
+    None for p above n: every k is carry-free in base p, so r alone would
+    have to divide every index, and no prime does (q divides every
+    C(q**e, k) but not the index for q blocks of q**(e - 1)).  An n that is
+    not a prime power, with p**v_p(n) at most CHUNK, takes the batched
+    partner search.  Every other input tries candidates in turn with
+    condition2_direct.  At n = q**e, k = 1 forces r = q if p != q; for p = q
+    the primes are tried from 2 up, and they reach one in (n/2, n)
+    (Bertrand), which divides every imprimitive index.  So at a prime n and
+    p != n there is no partner r < n: direct_search(13, 11) is None, though
+    condition2_direct(13, 11, 13) holds.  A larger p-part of an n that is
+    not a prime power also tries the primes from 2 up: on every such input
+    tried the least partner was at most 233, but an input with none would
+    test every prime below n.
     """
     _check_scan_n(n)
     _check_max_n(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    pp = is_prime_power(n)
-    if pp is not None:
-        rs = (r for r in range(2, n) if is_prime(r)) if pp.prime == p else (pp.prime,)
-        return next((r for r in rs if r < n and condition2_direct(n, p, r)), None)
     if p > n:
-        # every k is carry-free in base p, and no one prime divides every C(n, k)
         return None
-    r = int(_partner_search(np.array([n], dtype=np.int64), np.array([p], dtype=np.int64))[0])
-    return r or None
+    pp = is_prime_power(n)
+    ns, ps = np.array([n], dtype=np.int64), np.array([p], dtype=np.int64)
+    if pp is None and _p_part(ns, ps)[0] <= CHUNK:
+        return int(_partner_search(ns, ps)[0]) or None
+    rs = (pp.prime,) if pp is not None and pp.prime != p else (r for r in range(2, n) if is_prime(r))
+    return next((r for r in rs if r < n and condition2_direct(n, p, r)), None)
 
 
 def prime_gap_stats(hi: int) -> GapReport:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy import primefactors
 
 from binodiv import conditions, scan
-from binodiv.arith import factorize, is_prime_power, largest_prime_power_divisor, primes_upto
+from binodiv.arith import factorize, is_prime_power, largest_prime_power_below, largest_prime_power_divisor, primes_upto
 from binodiv.conditions import (
     _condition1_many,
     _digit_table,
@@ -137,7 +137,7 @@ def test_partner_search_decides_each_band_in_one_kernel_call(monkeypatch, group)
 
 def test_partner_search_records_the_lesser_of_two_holding_candidates():
     # 5 and 499 are both candidates of 2000 below _SMALL_BOUND, and both hold
-    owner, qs = scan._term_divisors(np.array([2000]), np.array([16]), np.array([0]))
+    owner, qs = scan._term_divisors(np.array([2000]), np.array([16]))
     assert {5, 499} <= set(qs.tolist())
     assert condition2_direct(2000, 2, 5) and condition2_direct(2000, 2, 499)
     assert scan._partner_search(np.array([2000]), np.array([2])).tolist() == [5]
@@ -392,8 +392,8 @@ def _k0(n, p):
 
 
 def _term_rows():
-    """(ns, ks, rows): hand-picked rows first, then random n with k0 for a
-    prime divisor or a small prime."""
+    """(ns, ks): hand-picked rows first, then random n with k0 for a prime
+    divisor or a small prime."""
     rng = random.Random(11)
     ns, ks = [80, 98304, 2 * 3**9, 12, 15, 30, 24, 54], [16, 32768, 3**9, 4, 3, 5, 8, 27]
     while len(ns) < 40:
@@ -402,17 +402,16 @@ def _term_rows():
             p = rng.choice(factorize(n).primes() + (2, 3, 5, 7))
             ns.append(n)
             ks.append(_k0(n, p))
-    rows = np.array(sorted(set(rng.sample(range(len(ns)), 30)) | set(range(8))), dtype=np.int64)
-    return np.array(ns), np.array(ks), rows
+    return np.array(ns), np.array(ks)
 
 
 def test_term_divisors_are_the_primes_dividing_a_numerator_term():
-    ns, ks, rows = _term_rows()
-    owner, qs = scan._term_divisors(ns, ks, rows)
+    ns, ks = _term_rows()
+    owner, qs = scan._term_divisors(ns, ks)
     got = list(zip(owner.tolist(), qs.tolist()))
     ns, ks = ns.tolist(), ks.tolist()
     # factor every term with sympy, which shares no code with the sieve
-    want = [(i, q) for i in rows.tolist() for q in sorted({q for t in range(ns[i] - ks[i] + 1, ns[i] + 1) for q in primefactors(t)}) if q < ns[i]]
+    want = [(i, q) for i in range(len(ns)) for q in sorted({q for t in range(ns[i] - ks[i] + 1, ns[i] + 1) for q in primefactors(t)}) if q < ns[i]]
     assert got == want
     # primes q <= k dividing a term but not the binomial stay candidates (the
     # kernel rejects them): 3 for C(80, 16), 2 for C(12, 4) and C(15, 3),
@@ -422,54 +421,44 @@ def test_term_divisors_are_the_primes_dividing_a_numerator_term():
     assert set(kept) <= set(got)
 
 
-def test_swept_matches_term_divisors():
-    ns, ks, rows = _term_rows()
-    assert ks[rows].max() <= scan.CHUNK
-    swept = scan._swept(ns, ks, rows, primes_upto(int(ns.max())))
-    sieved = scan._term_divisors(ns, ks, rows)
-    assert [a.tolist() for a in swept] == [a.tolist() for a in sieved]
-
-
 def test_term_divisors_keep_rows_apart_above_max_n():
     # the prime cofactor 10**8 + 7 of the first term exceeds MAX_N, so a key
     # of row * MAX_N + q would read it as a divisor of row 1
     ns = np.array([2 * (10**8 + 7), 30])
-    owner, qs = scan._term_divisors(ns, np.array([1, 1]), np.array([0, 1]))
+    owner, qs = scan._term_divisors(ns, np.array([1, 1]))
     assert list(zip(owner.tolist(), qs.tolist())) == [(0, 2), (0, 10**8 + 7), (1, 2), (1, 3), (1, 5)]
 
 
-def _spy_swept(monkeypatch):
-    """The (rows searched, least prime of the band) of each _swept call."""
-    swept = []
-    real = scan._swept
+def _spy_searches(monkeypatch):
+    """The pairs (n, p) of each _partner_search call."""
+    searched = []
+    real = scan._partner_search
 
-    def spy(ns, ks, rows, band):
-        swept.append((rows.size, int(band[0]) if band.size else None))
-        return real(ns, ks, rows, band)
+    def spy(ns, ps):
+        searched.append(list(zip(ns.tolist(), ps.tolist())))
+        return real(ns, ps)
 
-    monkeypatch.setattr(scan, "_swept", spy)
-    return swept
+    monkeypatch.setattr(scan, "_partner_search", spy)
+    return searched
 
 
-@pytest.mark.parametrize("block", [scan.CHUNK, 1], ids=["sieved", "swept"])
+@pytest.mark.parametrize("block", [scan.CHUNK, 1], ids=["sieved", "scalar"])
 @pytest.mark.parametrize("n, p, r", [(233926, 7, 1601), (71994, 13, 1531), (352604, 7, 4463)])
 def test_partners_above_the_small_bound_match_oracle_on_both_routes(monkeypatch, n, p, r, block):
-    # a term block longer than CHUNK is swept; patched to 1, every block is
-    swept = _spy_swept(monkeypatch)
+    # a p-part above CHUNK takes the scalar loop; patched to 1, every one does
+    searched = _spy_searches(monkeypatch)
     monkeypatch.setattr(scan, "CHUNK", block)
     assert direct_search(n, p) == least_partner(n, p) == r
-    sizes = [size for size, _ in swept]
-    if block == 1:
-        # the pair takes the sweep in both bands
-        assert sizes == [1, 1] and swept[1][1] > scan._SMALL_BOUND
-    else:
-        assert sizes == [0, 0]
+    assert searched == ([] if block == 1 else [[(n, p)]])
 
 
-@pytest.mark.parametrize("n, p, r", [(393216, 2, 3), (156250, 5, 2)])
-def test_a_term_block_longer_than_a_chunk_is_swept(monkeypatch, n, p, r):
-    assert _k0(n, p) > scan.CHUNK
-    swept = _spy_swept(monkeypatch)
+@pytest.mark.parametrize(
+    "n, p, r",
+    [(393216, 2, 3), (156250, 5, 2), (2 * 65537, 65537, 2), (3 * 65537, 65537, 3), (5 * 17**4, 17, 2)],
+)
+def test_a_p_part_above_a_chunk_takes_the_scalar_loop(monkeypatch, n, p, r):
+    assert _k0(n, p) > scan.CHUNK and is_prime_power(n) is None
+    searched = _spy_searches(monkeypatch)
     limits = []
     real = scan.primes_upto
 
@@ -479,7 +468,31 @@ def test_a_term_block_longer_than_a_chunk_is_swept(monkeypatch, n, p, r):
 
     monkeypatch.setattr(scan, "primes_upto", spy)
     assert direct_search(n, p) == least_partner(n, p) == r
-    # the small band settles the pair, so the large band searches no row and
-    # builds no prime table
-    assert [size for size, _ in swept] == [1, 0]
-    assert limits == []
+    # no batched search, so no term block longer than a chunk, and no table
+    assert searched == [] and limits == []
+
+
+@pytest.mark.parametrize(
+    "lo, hi, run",
+    [(10**6 - 8191, 10**6, scan.scan_with_two), (10**6 - 8191, 10**6, scan_range), (195000, 196000, scan_range)],
+)
+def test_scans_search_no_p_part_above_the_gap_below_n(monkeypatch, lo, hi, run):
+    # a residual n fails window A, so the p-part of its base prime, and in
+    # any mode of every other prime divisor (each below the largest
+    # prime-power divisor), is at most n minus the prime power below n;
+    # so no term block of a scan outgrows a chunk
+    calls = []
+    real = scan._term_divisors
+
+    def spy(ns, ks):
+        calls.append((ns.tolist(), ks.tolist()))
+        return real(ns, ks)
+
+    monkeypatch.setattr(scan, "_term_divisors", spy)
+    summary = run(lo, hi, workers=1)
+    rows = [(n, k) for ns, ks in calls for n, k in zip(ns, ks)]
+    assert rows and all(k <= n - largest_prime_power_below(n).value for n, k in rows)
+    if lo == 195000:
+        # the base prime 19 of 195624 has no partner, so a second call
+        # searches its other prime divisors
+        assert summary.counts["other_divisor"] == 1 and len(calls) == 2

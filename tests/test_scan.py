@@ -140,7 +140,16 @@ def test_direct_search_returns_least_witness():
 
 @pytest.mark.parametrize(
     "n, p, want",
-    [(100, 18446744073709551557, None), (10**6, 18446744073709551557, None), (100, 101, None), (125, 18446744073709551557, None), (128, 18446744073709551557, None)],
+    [
+        (100, 18446744073709551557, None),
+        (10**6, 18446744073709551557, None),
+        (100, 101, None),
+        (125, 18446744073709551557, None),
+        (128, 18446744073709551557, None),
+        (16, 17, None),
+        (27, 29, None),
+        (49, 53, None),
+    ],
 )
 def test_direct_search_with_a_prime_above_n(n, p, want):
     # the prime beyond int64 used to overflow the batched search; above a

@@ -21,3 +21,13 @@ def test_bench_gate_runs_every_benchmark_workload():
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     matrix = jobs["bench-gate"]["strategy"]["matrix"]["workload"]
     assert matrix == [w["name"] for w in benchmark["workloads"]]
+
+
+def test_every_job_ends_with_the_stray_file_check():
+    # a test or benchmark run that leaves a file in the checkout, outside
+    # .gitignore, fails the job that ran it
+    jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+    for name, job in jobs.items():
+        last = job["steps"][-1]
+        assert last["name"] == "No stray files", name
+        assert 'test -z "$(git status --porcelain)"' in last["run"], name
